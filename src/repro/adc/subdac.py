@@ -321,39 +321,30 @@ class SubDac(AnalogBlock):
               vref: Sequence[float]) -> List[SubDacOutput]:
         """Evaluate many codes against one defect state of the netlist.
 
-        Bit-identical to calling :meth:`evaluate` per code, but the
-        ``netlist.has_defect`` scan (which walks every device of the block
-        and dominates the defect-free cost) runs once for the whole sweep
-        instead of once per code.  This is the sub-DAC hot path of the
-        batched defect evaluator.
+        Bit-identical to calling :meth:`evaluate` per code.  A defective
+        block resolves its per-tap mux behaviour and its buffer device states
+        once for the whole sweep (:meth:`_mux_table`) instead of once per
+        code; this is the sub-DAC hot path of the staged defect evaluator.
         """
+        if not self.netlist.has_defect:
+            return [self.evaluate(code, vref) for code in codes]
         if len(vref) != self.n_levels:
             raise SimulationError(
                 f"expected {self.n_levels} reference levels, got {len(vref)}")
-        has_defect = self.netlist.has_defect
         offset_p = self.parameter("buffer_offset_p")
         offset_n = self.parameter("buffer_offset_n")
+        table_p = self._mux_table("p")
+        table_n = self._mux_table("n")
+        sf_p = mos_state(self.netlist.device("bufp_sf"))
+        bias_p = mos_state(self.netlist.device("bufp_bias"))
+        sf_n = mos_state(self.netlist.device("bufn_sf"))
+        bias_n = mos_state(self.netlist.device("bufn_bias"))
         outputs: List[SubDacOutput] = []
-        if has_defect:
-            # The defect state is fixed for the whole sweep: resolve the
-            # per-tap mux behaviour and the buffer device states once, then
-            # evaluate each code against the tables.
-            table_p = self._mux_table("p")
-            table_n = self._mux_table("n")
-            sf_p = mos_state(self.netlist.device("bufp_sf"))
-            bias_p = mos_state(self.netlist.device("bufp_bias"))
-            sf_n = mos_state(self.netlist.device("bufn_sf"))
-            bias_n = mos_state(self.netlist.device("bufn_bias"))
         for code in codes:
             if not 0 <= code <= self._code_max:
                 raise SimulationError(
                     f"sub-DAC code must be in [0, {self._code_max}], "
                     f"got {code}")
-            if not has_defect:
-                outputs.append(SubDacOutput(
-                    out_p=self._clamp(vref[code] + offset_p),
-                    out_n=self._clamp(vref[self._top - code] + offset_n)))
-                continue
             outputs.append(SubDacOutput(
                 out_p=self._apply_buffer(
                     self._mux_from_table(table_p, code, vref),

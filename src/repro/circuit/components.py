@@ -16,9 +16,10 @@ defect automatically propagates into the block behaviour.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Set, Tuple
 
 from .errors import ComponentError
 from .units import OPEN_RESISTANCE, SHORT_RESISTANCE
@@ -61,6 +62,10 @@ TERMINALS: Dict[DeviceKind, Tuple[str, ...]] = {
 }
 
 
+#: Tracking attributes of :class:`DefectState`, kept out of its pickled state.
+_WATCH_KEYS = frozenset({"_watcher", "_index"})
+
+
 class PullDirection(str, Enum):
     """Weak pull assigned to an open defect (paper Section V)."""
 
@@ -68,7 +73,7 @@ class PullDirection(str, Enum):
     DOWN = "down"
 
 
-@dataclass
+@dataclass(init=False)
 class DefectState:
     """Mutable record of the defect currently injected into a device.
 
@@ -86,6 +91,21 @@ class DefectState:
     open_resistance: float = OPEN_RESISTANCE
     value_scale: float = 1.0
 
+    def __init__(self, shorted_terminals: Optional[Tuple[str, str]] = None,
+                 short_resistance: float = SHORT_RESISTANCE,
+                 open_terminal: Optional[str] = None,
+                 open_pull: Optional[PullDirection] = None,
+                 open_resistance: float = OPEN_RESISTANCE,
+                 value_scale: float = 1.0) -> None:
+        # Straight into ``__dict__``, in field order (the pickled bytes
+        # follow it), bypassing the tracking ``__setattr__``: a new state
+        # has no watcher, and ``clear`` reports its one transition itself.
+        self.__dict__.update(shorted_terminals=shorted_terminals,
+                             short_resistance=short_resistance,
+                             open_terminal=open_terminal, open_pull=open_pull,
+                             open_resistance=open_resistance,
+                             value_scale=value_scale)
+
     @property
     def is_clean(self) -> bool:
         """True when no defect is currently injected."""
@@ -93,14 +113,60 @@ class DefectState:
                 and self.open_terminal is None
                 and self.value_scale == 1.0)
 
+    # ----------------------------------------------------------- tracking
+    # A netlist that owns the state *watches* it: ``_watcher`` is the
+    # netlist's set of defective-device indices and ``_index`` the device's
+    # insertion index.  Every write that flips :attr:`is_clean` -- through
+    # the injector, ``clear``, process variation or a direct field
+    # assignment -- updates that set, so the netlist never has to scan its
+    # devices.  The set holds plain ints, so watching creates no reference
+    # cycle, and neither attribute is part of the pickled state.
+    _watcher: ClassVar[Optional[Set[int]]] = None
+    _index: ClassVar[int] = -1
+
+    def __setattr__(self, name: str, value: object) -> None:
+        watcher = self._watcher
+        if watcher is None:
+            object.__setattr__(self, name, value)
+            return
+        was_clean = self.is_clean
+        object.__setattr__(self, name, value)
+        if self.is_clean != was_clean:
+            if was_clean:
+                watcher.add(self._index)
+            else:
+                watcher.discard(self._index)
+
+    @property
+    def watcher(self) -> Optional[Set[int]]:
+        """The set this state reports its transitions into, if any."""
+        return self._watcher
+
+    def watch(self, watcher: Set[int], index: int) -> None:
+        """Report this state's clean/defective transitions into ``watcher``
+        under ``index``, starting with its current state."""
+        self.__dict__["_watcher"] = watcher
+        self.__dict__["_index"] = index
+        if not self.is_clean:
+            watcher.add(index)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _WATCH_KEYS}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Interned keys, as pickle's default restore leaves them, so a
+        # round-tripped state pickles (and fingerprints) like one restored
+        # without this method.
+        for key, value in state.items():
+            self.__dict__[sys.intern(key)] = value
+
     def clear(self) -> None:
         """Reset the device to its defect-free state."""
-        self.shorted_terminals = None
-        self.short_resistance = SHORT_RESISTANCE
-        self.open_terminal = None
-        self.open_pull = None
-        self.open_resistance = OPEN_RESISTANCE
-        self.value_scale = 1.0
+        was_clean = self.is_clean
+        DefectState.__init__(self)
+        if not was_clean and self._watcher is not None:
+            self._watcher.discard(self._index)
 
 
 @dataclass

@@ -15,8 +15,9 @@ with fully qualified names such as ``subdac1/rladder_07``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .components import (Device, DeviceKind, capacitor, diode, nmos, npn, pmos,
                          pnp, resistor, switch)
@@ -37,6 +38,22 @@ class Netlist:
             raise NetlistError("netlist name must be a non-empty string")
         self.name = name
         self._devices: Dict[str, Device] = {}
+        #: Insertion indices of the devices whose defect state is not clean,
+        #: kept current by the states themselves (``DefectState.watch``).
+        self._defective: Set[int] = set()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The tracked set is derived data: leaving it out keeps the pickled
+        # bytes (and so ``adc_fingerprint``) those of the device list alone.
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_defective"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for key, value in state.items():
+            self.__dict__[sys.intern(key)] = value
+        self._defective = set()
+        for index, device in enumerate(self._devices.values()):
+            device.defect.watch(self._defective, index)
 
     # ------------------------------------------------------------------ build
     def add(self, device: Device) -> Device:
@@ -44,6 +61,11 @@ class Netlist:
         if device.name in self._devices:
             raise NetlistError(
                 f"netlist {self.name!r}: duplicate device name {device.name!r}")
+        if device.defect.watcher is not None:
+            raise NetlistError(
+                f"netlist {self.name!r}: device {device.name!r} already "
+                "belongs to a netlist")
+        device.defect.watch(self._defective, len(self._devices))
         self._devices[device.name] = device
         return device
 
@@ -121,10 +143,14 @@ class Netlist:
     @property
     def has_defect(self) -> bool:
         """True if any device currently carries an injected defect."""
-        return any(dev.has_defect for dev in self._devices.values())
+        return bool(self._defective)
 
     def defective_devices(self) -> List[Device]:
-        return [d for d in self._devices.values() if d.has_defect]
+        """Devices carrying a defect (or a variation), in insertion order."""
+        if not self._defective:
+            return []
+        devices = list(self._devices.values())
+        return [devices[index] for index in sorted(self._defective)]
 
     # -------------------------------------------------------------- reporting
     def summary(self) -> Dict[str, int]:

@@ -39,7 +39,8 @@ import pickle
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -424,44 +425,45 @@ class DefectCampaign:
                                  mode=self.mode,
                                  stop_on_detection=self.stop_on_detection)
 
-    def simulate_defect(self, defect: Defect) -> DefectSimulationRecord:
-        """Inject one defect, run the SymBIST test, and record the outcome."""
-        start = time.perf_counter()
+    def _simulate_full(self, defect: Defect
+                       ) -> Tuple[bool, Optional[str], Optional[int], int]:
+        """Full controller re-simulation of one defect: the fallback for a
+        defect the golden-trace evaluator cannot prove local."""
         with self.injector.injected(defect):
             result = self._build_controller().run()
-        wall = time.perf_counter() - start
-        detecting = result.first_detection[0] if result.first_detection else None
-        detection_cycle = result.first_detection[1] if result.first_detection \
-            else None
-        return DefectSimulationRecord(
-            defect=defect,
-            detected=result.detected,
-            detecting_invariance=detecting,
-            detection_cycle=detection_cycle,
-            cycles_run=result.cycles_run,
-            modeled_sim_time=result.cycles_run * self.seconds_per_cycle,
-            wall_time=wall)
+        first = result.first_detection
+        return (result.detected, first[0] if first else None,
+                first[1] if first else None, result.cycles_run)
+
+    def simulate_defect(self, defect: Defect) -> DefectSimulationRecord:
+        """Inject one defect, run the SymBIST test, and record the outcome.
+
+        The same staged golden-trace evaluation as
+        :meth:`simulate_defect_batch` (a batch of one): the record is
+        bit-identical to a full controller re-simulation.
+        """
+        return self.simulate_defect_batch([defect])[0]
 
     def simulate_defect_batch(self, defects: Sequence[Defect]
                               ) -> List[DefectSimulationRecord]:
-        """Evaluate a batch of defects against the shared golden trace.
+        """Evaluate defects against the campaign's shared golden trace.
 
-        Per-defect results are bit-identical to :meth:`simulate_defect`: a
-        defect local to one block re-evaluates only that block's stage and
+        A defect local to one block re-evaluates only that block's stage and
         its downstream cone against the cached defect-free trace
-        (:mod:`repro.defects.batching`); a non-local defect falls back to
-        the full re-simulation.  Only ``wall_time`` -- which is measured,
+        (:mod:`repro.defects.batching`); a non-local defect falls back to the
+        full re-simulation.  Records are bit-identical to a full controller
+        re-simulation either way; only ``wall_time`` -- which is measured,
         never compared -- differs.
         """
         evaluator = self._batch_evaluator()
         records: List[DefectSimulationRecord] = []
         for defect in defects:
-            if not evaluator.is_local(defect):
-                records.append(self.simulate_defect(defect))
-                continue
             start = time.perf_counter()
-            with self.injector.injected(defect):
-                outcome = evaluator.evaluate(defect)
+            if evaluator.is_local(defect):
+                with self.injector.injected(defect):
+                    outcome = evaluator.evaluate(defect)
+            else:
+                outcome = self._simulate_full(defect)
             wall = time.perf_counter() - start
             detected, detecting, detection_cycle, cycles_run = outcome
             records.append(DefectSimulationRecord(
@@ -511,12 +513,12 @@ class DefectCampaign:
             re-running an identical campaign replays them instead of
             simulating.
         batch_size:
-            Number of defects grouped into one engine task.  ``1`` (the
-            default) reproduces the historical per-defect task graph exactly
-            (same task ids, specs and cache artifacts); larger values
-            evaluate each group as one sweep against a cached defect-free
-            golden trace with bit-identical records
-            (:meth:`simulate_defect_batch`).
+            Number of defects grouped into one engine task -- task
+            granularity only.  ``1`` (the default) reproduces the historical
+            per-defect task graph exactly (same task ids, specs and cache
+            artifacts); every defect is evaluated against the cached
+            defect-free golden trace whatever the batch size, with
+            bit-identical records (:meth:`simulate_defect_batch`).
         """
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe

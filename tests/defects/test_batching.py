@@ -10,6 +10,11 @@ Three pillars of the batching equivalence guarantee:
   re-simulation for every stimulus kind the campaigns use;
 * a defect that is not provably local to one pipeline stage falls back to
   the full simulation and produces the exact same record.
+
+Since every campaign -- batched or not -- evaluates defects through the
+golden trace, the reference these tests compare against is always an
+explicit full controller re-simulation (:func:`_full_resimulation`), never
+the campaign's own per-defect path.
 """
 
 import pytest
@@ -20,8 +25,11 @@ from repro.adc import SarAdc
 from repro.circuit.errors import CoverageError
 from repro.core import build_invariances, run_symbist
 from repro.core.stimulus import SymBistStimulus
+from repro.core.test_time import CheckingMode
 from repro.defects import (DefectCampaign, LOCAL_STAGE, STAGE_DOWNSTREAM,
                            batch_seed_span, batch_spans, build_golden_trace)
+from repro.defects import batching
+from repro.dut import DutSpec
 
 BLOCKS = ("bandgap", "subdac1", "sc_array", "rs_latch", "vcm_generator")
 
@@ -116,6 +124,39 @@ STIMULI = {
 
 _UNIT_DELTAS = {inv.name: 1.0 for inv in build_invariances()}
 
+#: Non-default devices: the staged path must take the reference taps and
+#: the supply from the ADC's DutSpec, never from the paper's 10-bit device.
+VARIANT_DUTS = {
+    "eight_bit": DutSpec(resolution_bits=8),
+    "low_vdd": DutSpec(vdd=1.08),
+}
+
+
+def _dut_stimulus(dut: DutSpec) -> SymBistStimulus:
+    """The SymBIST stimulus a study builds for ``dut``."""
+    return SymBistStimulus(input_diff=dut.test_input_diff,
+                           input_cm=dut.common_mode,
+                           counter_bits=dut.half_bits)
+
+
+def _full_resimulation(campaign, defect):
+    """Record fields (all but ``wall_time``) of a full controller
+    re-simulation of ``defect``, independent of the golden-trace path."""
+    with campaign.injector.injected(defect):
+        result = run_symbist(campaign.adc, campaign.deltas,
+                             stimulus=campaign.stimulus, mode=campaign.mode,
+                             stop_on_detection=campaign.stop_on_detection)
+    first = result.first_detection
+    return (defect, result.detected, first[0] if first else None,
+            first[1] if first else None, result.cycles_run,
+            result.cycles_run * campaign.seconds_per_cycle)
+
+
+def _record_fields(record):
+    return (record.defect, record.detected, record.detecting_invariance,
+            record.detection_cycle, record.cycles_run,
+            record.modeled_sim_time)
+
 
 class TestGoldenTrace:
     @pytest.mark.parametrize("kind", sorted(STIMULI))
@@ -140,6 +181,28 @@ class TestGoldenTrace:
                 for cycle in range(stimulus.n_cycles)]
         assert golden.signals == full
 
+    @pytest.mark.parametrize("variant", sorted(VARIANT_DUTS))
+    def test_variant_golden_residuals_equal_full_resimulation(self, variant):
+        dut = VARIANT_DUTS[variant]
+        stimulus = _dut_stimulus(dut)
+        adc = SarAdc(dut)
+        golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
+        result = run_symbist(adc, _UNIT_DELTAS, stimulus=stimulus)
+        assert golden.residuals == result.settled_residuals
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_DUTS))
+    def test_variant_golden_signals_equal_full_resimulation(self, variant):
+        dut = VARIANT_DUTS[variant]
+        stimulus = _dut_stimulus(dut)
+        adc = SarAdc(dut)
+        golden = build_golden_trace(adc, stimulus, fingerprint="golden-test")
+        op = adc.operating_point(input_diff=stimulus.input_diff,
+                                 input_cm=stimulus.input_cm)
+        adc.sarcell.comparator.rs_latch.reset_state()
+        full = [adc.evaluate_test_cycle(stimulus.code_for_cycle(cycle), op)
+                for cycle in range(stimulus.n_cycles)]
+        assert golden.signals == full
+
     def test_every_universe_block_is_in_the_locality_map(self, deltas):
         """No silent full-simulation fallback for the shipped ADC: every
         block of the real defect universe is provably local to a stage."""
@@ -151,21 +214,82 @@ class TestGoldenTrace:
 class TestNonLocalFallback:
     def test_non_local_defect_falls_back_to_full_simulation(
             self, deltas, monkeypatch):
-        """A block missing from the locality map is evaluated by the exact
-        unbatched path -- same record, just without the golden shortcut."""
+        """A block missing from the locality map is evaluated by the full
+        controller re-simulation -- same record, just without the golden
+        shortcut."""
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
         defects = [d for d in campaign.universe.defects
                    if d.block_path == "sc_array"][:4]
-        expected = [campaign.simulate_defect(d) for d in defects]
+        expected = [_full_resimulation(campaign, d) for d in defects]
 
-        from repro.defects import batching
         monkeypatch.delitem(batching.LOCAL_STAGE, "sc_array")
         evaluator = campaign._batch_evaluator()
         assert all(not evaluator.is_local(d) for d in defects)
         assert all(evaluator.evaluate(d) is None for d in defects)
 
         batched = campaign.simulate_defect_batch(defects)
-        key = lambda r: (r.defect.defect_id, r.detected,
-                         r.detecting_invariance, r.detection_cycle,
-                         r.cycles_run, r.modeled_sim_time)
-        assert [key(r) for r in batched] == [key(r) for r in expected]
+        assert [_record_fields(r) for r in batched] == expected
+        single = [campaign.simulate_defect(d) for d in defects]
+        assert [_record_fields(r) for r in single] == expected
+
+
+#: Test configurations of the single-path equivalence check: the campaign
+#: default, and the schedule with the most detection bookkeeping.
+CONFIGS = {
+    "sequential-stop": dict(mode=CheckingMode.SEQUENTIAL,
+                            stop_on_detection=True),
+    "parallel-full": dict(mode=CheckingMode.PARALLEL,
+                          stop_on_detection=False),
+}
+
+
+class TestSinglePerDefectPath:
+    """``simulate_defect`` goes through the golden trace for every local
+    defect; these tests keep that path pinned to full re-simulation."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_records_equal_full_resimulation_in_every_block(
+            self, deltas, config):
+        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas,
+                                  **CONFIGS[config])
+        blocks = campaign.universe.block_paths()
+        assert len(blocks) == 10
+        for block in blocks:
+            defects = campaign.universe.by_block(block).defects[:3]
+            records = [campaign.simulate_defect(d) for d in defects]
+            assert [_record_fields(r) for r in records] == \
+                [_full_resimulation(campaign, d) for d in defects], block
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_DUTS))
+    def test_variant_records_equal_full_resimulation(self, deltas, variant):
+        dut = VARIANT_DUTS[variant]
+        campaign = DefectCampaign(adc=SarAdc(dut), deltas=deltas,
+                                  stimulus=_dut_stimulus(dut))
+        for block in campaign.universe.block_paths():
+            defects = campaign.universe.by_block(block).defects[:2]
+            records = campaign.simulate_defect_batch(defects)
+            assert [_record_fields(r) for r in records] == \
+                [_full_resimulation(campaign, d) for d in defects], block
+
+    def test_golden_trace_is_built_once_per_campaign(self, deltas,
+                                                     monkeypatch):
+        """Injecting and removing defects on distinct devices leaves the
+        clean ADC's fingerprint -- hence the cached golden trace -- alone."""
+        builds = []
+        build = batching.build_golden_trace
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(batching, "build_golden_trace", counting_build)
+        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
+        first_per_device = {}
+        for defect in campaign.universe.defects:
+            first_per_device.setdefault(
+                (defect.block_path, defect.device_name), defect)
+        defects = list(first_per_device.values())[::12]
+        assert len(defects) >= 20
+        for defect in defects:
+            campaign.simulate_defect(defect)
+        assert len(builds) == 1

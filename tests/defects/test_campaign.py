@@ -1,5 +1,7 @@
 """Tests for the defect-simulation campaign runner (repro.defects.simulator)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.circuit import CoverageError
 from repro.core import CheckingMode
 from repro.defects import (DefectCampaign, DefectKind, SamplingPlan,
                            build_defect_universe)
+from repro.defects.simulator import adc_fingerprint
 
 
 class TestCampaignSetup:
@@ -18,6 +21,31 @@ class TestCampaignSetup:
     def test_universe_built_from_adc(self, campaign):
         assert len(campaign.universe) > 1000
         assert campaign.universe.block_paths()[0] == "bandgap"
+
+
+class TestAdcFingerprintPins:
+    """``adc_fingerprint`` keys every cached defect record, so its bytes are
+    a compatibility contract: caches filled by earlier versions must replay
+    warm.  The values below were measured before defect state became
+    tracked by the netlist; tracking bookkeeping must never reach them."""
+
+    @staticmethod
+    def fingerprint(adc):
+        return adc_fingerprint(adc, adc.build_hierarchy())
+
+    def test_nominal_adc(self):
+        assert self.fingerprint(SarAdc()) == "00b81ac4d99949a4"
+
+    def test_varied_adc(self):
+        adc = SarAdc()
+        adc.sample_variation(np.random.default_rng(3))
+        assert self.fingerprint(adc) == "5b4f5b7950fa6a27"
+
+    def test_varied_adc_after_pickle_round_trip(self):
+        adc = SarAdc()
+        adc.sample_variation(np.random.default_rng(3))
+        assert self.fingerprint(pickle.loads(pickle.dumps(adc))) == \
+            "ade0948ae467c3de"
 
 
 class TestSingleDefectSimulation:

@@ -10,12 +10,16 @@ back to the paper's default device -- an 8-bit variant would quantise to
 10 bits somewhere in the middle of the signal chain and nothing would
 crash.
 
-This linter greps ``src/repro/adc`` and ``src/repro/functional_test`` for
-the constant spellings the refactor eliminated:
+This linter greps ``src/repro/adc``, ``src/repro/functional_test`` and
+``src/repro/defects`` (whose staged evaluator re-assembles the ADC's test
+signals) for the constant spellings the refactor eliminated:
 
-* ``ADC_BITS`` / ``VCM_NOMINAL`` -- the legacy module constants; and
+* ``ADC_BITS`` / ``VCM_NOMINAL`` -- the legacy module constants;
 * ``2 ** 10`` / ``2**10`` / ``1 << 10`` / ``1<<10`` -- a hard-coded
-  10-bit code count (use ``dut.n_codes`` / ``dut.resolution_bits``).
+  10-bit code count (use ``dut.n_codes`` / ``dut.resolution_bits``); and
+* ``vref[16]``, ``vref[32]``, ... -- a non-zero literal reference-tap index,
+  which only exists on the paper's device (use ``vref[dut.mid_tap]`` /
+  ``vref[-1]``).
 
 Lines inside comments are still flagged on purpose (a commented-out
 constant read is a resurrection waiting to happen); a deliberate mention
@@ -37,6 +41,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINTED_DIRS = [
     os.path.join("src", "repro", "adc"),
     os.path.join("src", "repro", "functional_test"),
+    os.path.join("src", "repro", "defects"),
 ]
 
 FORBIDDEN = [
@@ -48,6 +53,8 @@ FORBIDDEN = [
      "hard-coded 10-bit code count; use dut.n_codes"),
     (re.compile(r"\b1\s*<<\s*10\b"),
      "hard-coded 10-bit code count; use dut.n_codes"),
+    (re.compile(r"vref\[[1-9]\d*\]"),
+     "literal reference-tap index; use vref[dut.mid_tap] or vref[-1]"),
 ]
 
 ALLOW_MARKER = "dut-lint: allow"
