@@ -1,16 +1,17 @@
 """Engine scaling -- campaign throughput at workers=1 versus workers=N.
 
 Measures the defect-campaign throughput of the execution engine
-(:mod:`repro.engine`) on the serial backend and on sharded process pools
-(multiprocess and shared-memory transports), plus the warm-cache replay
-rate, compares the one-graph per-block sweep (the block-study shape) against
-the historical one-engine-run-per-block loop, checks that compiling the
-declarative block-study spec (``build_study``) costs under 1% of running
-it, and compares the bytes each pool transport ships per task.  On
-multi-core runners the pools should approach linear speedup (the per-defect
-simulations are independent, exactly like the per-defect SPICE jobs an
-industrial DefectSim farm distributes); on single-CPU runners the
-wall-clock scaling cases are skipped but the payload comparison still runs.
+(:mod:`repro.engine`) on the serial backend and on a process pool, plus the
+warm-cache replay rate; compares the one-graph per-block sweep (the
+block-study shape) against the historical one-engine-run-per-block loop;
+checks that compiling the declarative block-study spec (``build_study``)
+costs under 1% of running it; checks that the pool's per-task payload
+excludes the campaign context; and checks that the pool stream's per-task
+dispatch cost stays flat as the task graph widens.  On multi-core runners
+the pool should approach linear speedup (the per-defect simulations are
+independent, exactly like the per-defect SPICE jobs an industrial
+DefectSim farm distributes); on single-CPU runners the wall-clock scaling
+cases are skipped but the payload and dispatch checks still run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import pytest
 from repro.adc import SarAdc
 from repro.core import format_table
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import (MultiprocessBackend, ResultCache, SerialBackend,
-                          SharedMemoryBackend)
+from repro.engine import (CampaignEngine, MultiprocessBackend, ResultCache,
+                          SerialBackend, Task, TaskGraph)
 
 BENCHMARK_SEED = 20200309
 
@@ -65,12 +66,6 @@ def test_engine_scaling(benchmark, deltas, tmp_path):
                      parallel.engine_report.n_executed,
                      f"{parallel.engine_report.wall_time:.2f}",
                      f"{parallel.engine_report.tasks_per_second:.1f}"])
-
-        shm = _run(campaign, SharedMemoryBackend(max_workers=N_WORKERS))
-        assert _coverage_key(shm) == _coverage_key(serial)
-        rows.append(["shm", N_WORKERS, shm.engine_report.n_executed,
-                     f"{shm.engine_report.wall_time:.2f}",
-                     f"{shm.engine_report.tasks_per_second:.1f}"])
 
     cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
     cold = _run(campaign, SerialBackend(), cache=cache)
@@ -381,43 +376,78 @@ def test_telemetry_overhead_under_five_percent(deltas):
     assert overhead < 5.0
 
 
-def test_payload_bytes_multiprocess_vs_shm(deltas):
-    """Bytes shipped per task: re-pickled context versus shared segment.
+def test_stream_payload_excludes_context(deltas):
+    """Bytes shipped per task versus the once-per-worker campaign context.
 
-    The multiprocess backend re-pickles the work function -- and the
-    campaign context it closes over (the behavioral ADC, windows, defect
-    universe) -- into every chunk submission; the shared-memory backend
-    ships the context once through a segment and submits bare items.  On
-    the default campaign the per-task payload must shrink by >=10x.
+    The pool initializer ships the work function -- and the campaign
+    context it closes over (the behavioral ADC, windows, defect universe)
+    -- once per worker; chunk submissions then carry bare work items.  On
+    the default campaign, unbatched and batched, the per-task payload must
+    stay at or below 1/10 of the per-worker context.
     """
     campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     workers = max(2, N_WORKERS)
-    mp_backend = MultiprocessBackend(max_workers=workers,
-                                     measure_payload=True)
-    shm_backend = SharedMemoryBackend(max_workers=workers,
+    rows = []
+    for batch_size in (1, 16):
+        backend = MultiprocessBackend(max_workers=workers,
                                       measure_payload=True)
-    mp_result = _run(campaign, mp_backend)
-    shm_result = _run(campaign, shm_backend)
-    assert _coverage_key(shm_result) == _coverage_key(mp_result)
-
-    mp_payload = mp_backend.last_payload
-    shm_payload = shm_backend.last_payload
-    rows = [
-        ["multiprocess", mp_payload.n_items,
-         f"{mp_payload.per_task_bytes:,.0f}", f"{mp_payload.task_bytes:,}",
-         f"{mp_payload.context_bytes:,}"],
-        ["shm", shm_payload.n_items,
-         f"{shm_payload.per_task_bytes:,.0f}", f"{shm_payload.task_bytes:,}",
-         f"{shm_payload.context_bytes:,}"],
-    ]
+        _run(campaign, backend, batch_size=batch_size)
+        payload = backend.last_payload
+        per_worker_context = payload.context_bytes / workers
+        ratio = per_worker_context / payload.per_task_bytes
+        rows.append([batch_size, payload.n_items,
+                     f"{payload.per_task_bytes:,.0f}",
+                     f"{per_worker_context:,.0f}", f"{ratio:.0f}x"])
+        assert payload.per_task_bytes <= 0.1 * per_worker_context, \
+            f"batch {batch_size}: context leaks into the per-task payload"
     print()
     print(format_table(
-        ["backend", "#tasks", "bytes/task", "task bytes total",
-         "shared context bytes"],
+        ["batch size", "#tasks", "bytes/task", "context bytes/worker",
+         "ratio"],
         rows, title=f"pool payload bytes ({N_DEFECTS} LWRS defects)"))
-    ratio = mp_payload.per_task_bytes / shm_payload.per_task_bytes
-    print(f"per-task payload ratio (multiprocess / shm): {ratio:.1f}x")
-    assert ratio >= 10.0
+
+
+def _noop_graph_task(context, task, rng, inputs):
+    return 0
+
+
+def _wide_graph(n_leaves):
+    """root -> ``n_leaves`` no-op leaves -> one reduce."""
+    graph = TaskGraph([Task("root")])
+    leaves = tuple(f"leaf/{i}" for i in range(n_leaves))
+    for leaf in leaves:
+        graph.add(Task(leaf, depends_on=("root",)))
+    graph.add(Task("reduce", depends_on=leaves))
+    return graph
+
+
+def test_stream_dispatch_is_linear_in_width():
+    """Per-task engine cost at N = 8000 leaves is <= 1.5x that at N = 500.
+
+    Every run goes through the scheduler's work stream; a completion
+    delivery that scanned every in-flight future would make the per-task
+    cost grow with graph width (quadratic total).  Both widths run on a
+    fresh 2-process pool, pool start included, min of a few rounds.
+    """
+    def us_per_task(n_leaves, rounds):
+        graph = _wide_graph(n_leaves)
+        walls = []
+        for _ in range(rounds):
+            run = CampaignEngine(
+                backend=MultiprocessBackend(max_workers=2)).run(
+                graph, _noop_graph_task)
+            assert run.ok
+            walls.append(run.report.wall_time)
+        return 1e6 * min(walls) / len(graph)
+
+    narrow = us_per_task(500, rounds=3)
+    wide = us_per_task(8000, rounds=2)
+    print()
+    print(format_table(
+        ["leaves", "us/task"],
+        [[500, f"{narrow:.0f}"], [8000, f"{wide:.0f}"]],
+        title="pool stream dispatch cost (root -> N leaves -> reduce)"))
+    assert wide <= 1.5 * narrow
 
 
 #: Artifact count of the warehouse-vs-crawl comparison (paper-scale: an

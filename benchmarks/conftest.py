@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table, figure or claim of the paper (see
-DESIGN.md section 4 and EXPERIMENTS.md).  The window calibration is shared
-across benchmarks (it corresponds to the one-off design-time Monte Carlo the
-paper performs before its experiments).
+Every benchmark regenerates one table, figure or claim of the paper, or
+measures the campaign engine that runs them (each ``bench_*.py`` module
+docstring names its target).  The window calibration is shared across
+benchmarks (it corresponds to the one-off design-time Monte Carlo the paper
+performs before its experiments).
 """
 
 from __future__ import annotations

@@ -20,10 +20,9 @@ Scaling
 -------
 The runner executes through :class:`repro.engine.CampaignEngine`; pass
 ``backend=MultiprocessBackend(max_workers=N)`` to shard samples across
-processes, or ``SharedMemoryBackend(max_workers=N)`` to additionally ship
-the evaluation context to the workers once through shared memory
-(``evaluate`` and ``adc_factory`` must then be picklable, i.e. module-level
-callables rather than lambdas).
+processes; the evaluation context reaches each worker once (``evaluate``
+and ``adc_factory`` must then be picklable, i.e. module-level callables
+rather than lambdas).
 """
 
 from __future__ import annotations

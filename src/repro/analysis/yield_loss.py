@@ -158,8 +158,7 @@ def yield_loss_sweep(calibration: Optional[WindowCalibration] = None,
     backend:
         Campaign-engine execution backend (see :mod:`repro.engine`); the
         default serial backend reproduces the historical loop exactly, and
-        ``MultiprocessBackend(max_workers=N)`` or
-        ``SharedMemoryBackend(max_workers=N)`` shard the ``k`` points
+        ``MultiprocessBackend(max_workers=N)`` shards the ``k`` points
         across processes with identical results.
     cache:
         Optional :class:`~repro.engine.ResultCache`; per-``k`` points are

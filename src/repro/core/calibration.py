@@ -168,8 +168,7 @@ def collect_defect_free_residuals(
     backend:
         Campaign-engine execution backend (see :mod:`repro.engine`); the
         default serial backend reproduces the historical loop exactly, and
-        ``MultiprocessBackend(max_workers=N)`` or
-        ``SharedMemoryBackend(max_workers=N)`` shard the Monte Carlo
+        ``MultiprocessBackend(max_workers=N)`` shards the Monte Carlo
         instances across processes with bit-identical pools.
     cache:
         Optional :class:`~repro.engine.ResultCache`; per-instance residual

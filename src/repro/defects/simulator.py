@@ -25,11 +25,9 @@ defect is one deterministic task, so passing
 ``backend=MultiprocessBackend(max_workers=N)`` to :meth:`DefectCampaign.run`
 shards the defect list across a process pool with byte-identical coverage
 results, and passing a :class:`~repro.engine.ResultCache` makes repeated
-campaigns replay stored per-defect records instead of re-simulating.  A
-:class:`~repro.engine.SharedMemoryBackend` ships the campaign context (the
-behavioral ADC, windows, universe) to the workers once through a
-shared-memory segment instead of re-pickling it per task shard -- same
-results, far smaller per-task payloads.
+campaigns replay stored per-defect records instead of re-simulating.  The
+pool receives the campaign context (the behavioral ADC, windows, universe)
+once per worker process; per-task submissions carry only the defects.
 """
 
 from __future__ import annotations
@@ -503,10 +501,8 @@ class DefectCampaign:
             Campaign-engine execution backend; the default serial backend
             reproduces the historical in-process loop exactly, while a
             :class:`~repro.engine.MultiprocessBackend` shards the defects
-            across worker processes with identical results and a
-            :class:`~repro.engine.SharedMemoryBackend` additionally ships
-            the campaign context (ADC, windows, universe) only once per run
-            instead of once per shard.
+            across worker processes with identical results, shipping the
+            campaign context (ADC, windows, universe) once per worker.
         cache:
             Optional :class:`~repro.engine.ResultCache`; per-defect records
             are stored as JSON artifacts keyed by the full campaign spec, so

@@ -10,17 +10,15 @@ executes such workloads:
   the units of work and the dependency edges between them (a DAG by
   construction: parents are added before children);
 * :mod:`repro.engine.backends` -- pluggable executors:
-  :class:`SerialBackend` (default, bit-identical to the historical loops),
-  :class:`MultiprocessBackend` (chunked sharding over a process pool) and
-  :class:`SharedMemoryBackend` (process pool whose campaign context is
-  pickled once into a shared-memory segment instead of re-shipped per
-  shard), each offering batch (``map_items``) and incremental (``stream``)
-  interfaces;
+  :class:`SerialBackend` (default, bit-identical to the historical loops)
+  and :class:`MultiprocessBackend` (a process pool that receives the
+  campaign context once per worker and the work items in chunks), both
+  behind one incremental interface (``stream``);
 * :mod:`repro.engine.executor` -- :class:`CampaignEngine`, which adds
   deterministic per-task seeding (``SeedSequence`` children by task index;
   results do not depend on worker count or completion order),
-  content-addressed result caching, topological scheduling of dependency
-  graphs (no stage barriers; failed tasks skip their descendants; cached
+  content-addressed result caching, one topological scheduler for every
+  run (no stage barriers; failed tasks skip their descendants; cached
   parents unblock children immediately) and :class:`CampaignReport`
   instrumentation;
 * :mod:`repro.engine.cache` -- :class:`ResultCache`, the JSON-on-disk
@@ -55,7 +53,7 @@ changing its results.
 """
 
 from .backends import (ExecutionBackend, MultiprocessBackend, PayloadReport,
-                       SerialBackend, SharedMemoryBackend, WorkStream)
+                       SerialBackend, WorkStream)
 from .cache import (MISS, ResultCache, callable_token, canonical_json,
                     factory_token)
 from .executor import (CampaignEngine, CampaignReport, EngineRun,
@@ -98,7 +96,7 @@ __all__ = [
     "Pipeline", "PipelineResult", "PipelineStage", "ProgressSink",
     "ResultCache", "ResultCodec",
     "STATUS_CACHED", "STATUS_EXECUTED", "STATUS_FAILED", "STATUS_SKIPPED",
-    "SerialBackend", "SharedMemoryBackend", "StageDefinition", "StageParam",
+    "SerialBackend", "StageDefinition", "StageParam",
     "StageSpec", "StudyOutcome", "StudyPlan", "StudySpec", "Task",
     "VariantSpec",
     "TaskGraph", "TaskOutcome", "TaskSpan", "TelemetryBus", "TelemetryEvent",

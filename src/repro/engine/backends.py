@@ -1,39 +1,26 @@
 """Execution backends of the campaign engine.
 
-A backend runs a picklable function over work items.  It offers two
-interfaces:
+A backend runs a picklable function over work items through one interface,
+:meth:`ExecutionBackend.stream`: it opens a :class:`WorkStream` that accepts
+items one at a time and yields outcomes as they complete.  The
+dependency-aware scheduler of :mod:`repro.engine.executor` drives every run
+through it, submitting tasks the moment their parents finish.
 
-* :meth:`ExecutionBackend.map_items` -- batch mode: map the function over a
-  fixed list of independent items and return the results *in submission
-  order*, whatever order the items actually complete in.  Used for flat
-  (edge-free) task graphs, where the full work list is known up front and
-  chunking can amortise per-item overhead.
-* :meth:`ExecutionBackend.stream` -- incremental mode: open a
-  :class:`WorkStream` that accepts items one at a time and yields outcomes
-  as they complete.  Used by the dependency-aware graph scheduler
-  (:mod:`repro.engine.executor`), which only learns that a task is runnable
-  when its parents finish.
-
-Three backends are provided:
+Two backends are provided here (the socket-distributed one lives in
+:mod:`repro.service.socket_backend`):
 
 * :class:`SerialBackend` -- runs items one by one in the calling process; the
   default, bit-identical to the historical serial loops of the drivers.
 * :class:`MultiprocessBackend` -- executes on a
-  :class:`concurrent.futures.ProcessPoolExecutor`; chunked sharding in batch
-  mode, per-item submission in stream mode.  Each batch-mode chunk submission
-  re-pickles the work function -- and therefore the whole campaign context it
-  closes over (the behavioral ADC, the calibrated windows, ...) -- through
-  the pool's pipe.
-* :class:`SharedMemoryBackend` -- like the multiprocess backend, but the work
-  function (with its captured campaign context) is pickled **once** into a
-  ``multiprocessing.shared_memory`` segment at pool startup; each worker
-  rehydrates it read-only in the pool initializer, so per-task submissions
-  shrink to the bare work items (task id, seed material, small spec dict).
-  At realistic campaign sizes this removes the context re-pickling that
-  dominates the multiprocess backend's dispatch cost.
+  :class:`concurrent.futures.ProcessPoolExecutor`.  The work function -- and
+  therefore the whole campaign context it closes over (the behavioral ADC,
+  the calibrated windows, ...) -- reaches each worker **once**, through the
+  pool initializer; submissions then carry only the bare work items (task
+  id, seed material, small spec dict), batched into chunks so the per-item
+  dispatch cost stays flat however wide the task graph is.
 
 Because every task carries its own seed material (see
-:mod:`repro.engine.executor`) the pool backends produce results identical to
+:mod:`repro.engine.executor`) the pool backend produces results identical to
 the serial backend regardless of worker count, chunking or completion order.
 
 Workers and their context must be picklable for the pool backends
@@ -43,35 +30,29 @@ only work with the serial backend.
 
 from __future__ import annotations
 
-import atexit
+import functools
 import math
-import os
 import pickle
-import signal
-import struct
 import sys
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..circuit.errors import EngineError
 
-#: Pickle protocol of every payload shipped to pool workers (submissions,
-#: shared segments, and the opt-in payload measurements -- one protocol so
-#: measured bytes match shipped bytes).
+#: Pickle protocol of the opt-in payload measurements (the protocol
+#: ``multiprocessing`` ships with, so measured bytes match shipped bytes).
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: An item handed to a backend: ``(index, task, seed_material)`` in batch
-#: mode, ``(index, task, seed_material, inputs)`` in stream (graph) mode.
+#: An item handed to a backend; the engine submits
+#: ``(index, task, seed_material, inputs)`` tuples.
 WorkItem = Any
 #: ``fn(item) -> (index, result, duration_seconds, task_span)`` -- the
 #: :class:`~repro.engine.telemetry.TaskSpan` carries the worker-side clock
 #: readings back for telemetry; backends treat the tuple opaquely.
 WorkFn = Callable[[WorkItem], Any]
-#: Optional per-completion callback ``on_result(outcome_tuple)``.
-ResultCallback = Optional[Callable[[Any], None]]
 #: A stream outcome: ``(item, ok, value)`` where ``value`` is ``fn(item)``'s
 #: return value when ``ok`` and the raised exception otherwise.
 StreamOutcome = Tuple[WorkItem, bool, Any]
@@ -80,9 +61,9 @@ StreamOutcome = Tuple[WorkItem, bool, Any]
 class WorkStream(ABC):
     """Incremental submission channel opened by :meth:`ExecutionBackend.stream`.
 
-    The graph scheduler submits items as their dependencies resolve and
-    drains completions one at a time; a stream therefore never sees the whole
-    work list and must not reorder bookkeeping around it.  Item failures are
+    The scheduler submits items as their dependencies resolve and drains
+    completions one at a time; a stream therefore never sees the whole work
+    list and must not reorder bookkeeping around it.  Item failures are
     *reported*, not raised: :meth:`next_outcome` returns ``(item, ok, value)``
     triples so the scheduler can mark the task failed, skip its descendants
     and keep the rest of the graph running.
@@ -134,21 +115,16 @@ class _SerialWorkStream(WorkStream):
 
 @dataclass
 class PayloadReport:
-    """Bytes pickled to pool workers during one backend run (opt-in).
+    """Bytes pickled to pool workers during one stream (opt-in).
 
     Populated on :attr:`MultiprocessBackend.last_payload` when the backend is
     constructed with ``measure_payload=True``; measuring re-pickles every
     submission, so it is meant for benchmarks, not production runs.
 
-    ``task_bytes`` counts the per-submission payloads.  For the multiprocess
-    backend every batch chunk re-pickles the work function -- hence the whole
-    campaign context it closes over -- alongside its items; for the
-    shared-memory backend submissions carry the bare items only.
-    ``context_bytes`` counts what ships up front instead of per submission:
-    the one-time shared segment for the shm backend, and the
-    once-per-worker initializer pickling of the function for the
-    multiprocess backend's stream mode (zero in its batch mode, where the
-    function rides inside every ``task_bytes`` submission).
+    ``task_bytes`` counts the per-submission payloads: the chunks of bare
+    work items.  ``context_bytes`` counts what ships up front instead: the
+    work function (and the campaign context it closes over), pickled once
+    per worker process by the pool initializer.
     """
 
     n_items: int = 0
@@ -157,16 +133,13 @@ class PayloadReport:
 
     @property
     def per_task_bytes(self) -> float:
-        """Average bytes shipped per work item, excluding the shared segment."""
+        """Average bytes shipped per work item, excluding the context."""
         return self.task_bytes / self.n_items if self.n_items else 0.0
 
 
 # Per-process slot for the pool work function, installed once per worker by
 # the pool initializer so submissions only pickle the (small) items instead
-# of re-shipping the function + campaign context every time.  The
-# multiprocess backend ships the function through the initializer arguments
-# (pickled once per worker process); the shared-memory backend ships only a
-# segment name and the initializer rehydrates the function from the segment.
+# of re-shipping the function + campaign context every time.
 _WORKER_FN: Optional[WorkFn] = None
 
 
@@ -175,233 +148,142 @@ def _install_fn(fn: WorkFn) -> None:
     _WORKER_FN = fn
 
 
-def _install_shared_fn(segment_name: str) -> None:
-    _install_fn(_SharedObject.load(segment_name))
+def _run_installed_chunk(chunk: List[WorkItem]) -> List[Tuple[bool, Any]]:
+    """Executed inside a pool worker: run one chunk of items.
 
-
-def _run_installed_item(item: WorkItem) -> Tuple[bool, Any]:
-    try:
-        return True, _WORKER_FN(item)
-    except Exception as exc:
-        return False, exc
-
-
-def _run_installed_chunk(chunk: List[WorkItem]) -> List[Any]:
-    return _run_chunk(_WORKER_FN, chunk)
-
-
-# Live shared-memory segments owned by this process, so an asynchronous
-# death (SIGTERM on a daemon, atexit on an interpreter teardown that never
-# reached the stream's close()) still unlinks every /dev/shm entry.  The
-# normal KeyboardInterrupt/close paths already destroy segments; this is
-# the backstop for the paths that never return to them.
-_LIVE_SEGMENTS: set = set()
-_SEGMENTS_LOCK = threading.Lock()
-_ATEXIT_INSTALLED = False
-_SIGTERM_INSTALLED = False
-_PREVIOUS_SIGTERM: Any = None
-
-
-def _destroy_live_segments() -> None:
-    """Unlink every segment this process still owns (idempotent).
-
-    Guarded by owner pid: a forked child inherits the registry (and the
-    SIGTERM handler) but must never unlink its parent's live segments.
+    Each item is reported as an ``(ok, value)`` pair rather than letting the
+    first failure abort the chunk, so a failing item never takes its
+    chunk-mates down with it.
     """
-    with _SEGMENTS_LOCK:
-        segments = list(_LIVE_SEGMENTS)
-    for segment in segments:
-        if segment._owner_pid != os.getpid():
-            continue
+    outcomes = []
+    for item in chunk:
         try:
-            segment.destroy()
-        except Exception:
-            pass  # dying anyway; best effort on the remaining segments
+            outcomes.append((True, _WORKER_FN(item)))
+        except Exception as exc:
+            outcomes.append((False, exc))
+    return outcomes
 
 
-def _sigterm_cleanup(signum: int, frame: Any) -> None:
-    _destroy_live_segments()
-    previous = _PREVIOUS_SIGTERM
-    if callable(previous):
-        previous(signum, frame)
-    else:
-        # Preserve die-by-SIGTERM semantics (exit status, waitpid) instead
-        # of swallowing the signal: re-deliver it with the default action.
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
+def _chunks(items: List[WorkItem], workers: int) -> List[List[WorkItem]]:
+    """Split ``items`` into chunks of ``ceil(n / (4 * workers))``.
 
-
-def _install_segment_cleanup() -> None:
-    """Register the atexit + chained-SIGTERM segment reapers (once each).
-
-    The SIGTERM hook only installs from the main thread (the interpreter
-    rejects it elsewhere); until a main-thread segment creation comes
-    along, atexit still covers normal teardown.
+    About four chunks per worker: large enough to amortise the per-future
+    dispatch cost, small enough to balance load across the pool.
     """
-    global _ATEXIT_INSTALLED, _SIGTERM_INSTALLED, _PREVIOUS_SIGTERM
-    if not _ATEXIT_INSTALLED:
-        _ATEXIT_INSTALLED = True
-        atexit.register(_destroy_live_segments)
-    if _SIGTERM_INSTALLED or \
-            threading.current_thread() is not threading.main_thread():
-        return
-    try:
-        previous = signal.signal(signal.SIGTERM, _sigterm_cleanup)
-    except (ValueError, OSError):  # pragma: no cover (exotic embeddings)
-        return
-    _SIGTERM_INSTALLED = True
-    if previous not in (signal.SIG_DFL, signal.SIG_IGN, None):
-        _PREVIOUS_SIGTERM = previous
-
-
-class _SharedObject:
-    """One pickled object living in a ``multiprocessing.shared_memory`` segment.
-
-    The creating process owns the segment and must call :meth:`destroy`
-    exactly once (idempotent) when the pool is done; worker processes attach
-    by name through :meth:`load`, copy the bytes out and detach immediately,
-    so the segment disappears from ``/dev/shm`` the moment the owner unlinks
-    it.  The payload is length-prefixed because the kernel may round the
-    segment up to a whole page.  Segments register in a process-wide
-    reaper (atexit + chained SIGTERM) so even a killed owner leaves no
-    ``/dev/shm`` entry behind.
-    """
-
-    _HEADER = struct.Struct("<Q")
-
-    def __init__(self, obj: Any) -> None:
-        from multiprocessing import shared_memory
-        body = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
-        self.nbytes = len(body)
-        self._owner_pid = os.getpid()
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=self._HEADER.size + len(body))
-        self._segment.buf[:self._HEADER.size] = self._HEADER.pack(len(body))
-        self._segment.buf[self._HEADER.size:self._HEADER.size + len(body)] = \
-            body
-        self.name = self._segment.name
-        _install_segment_cleanup()
-        with _SEGMENTS_LOCK:
-            _LIVE_SEGMENTS.add(self)
-
-    @classmethod
-    def load(cls, name: str) -> Any:
-        """Attach to a segment by name, unpickle its object, detach."""
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            (size,) = cls._HEADER.unpack(
-                bytes(segment.buf[:cls._HEADER.size]))
-            return pickle.loads(
-                bytes(segment.buf[cls._HEADER.size:cls._HEADER.size + size]))
-        finally:
-            segment.close()
-
-    def destroy(self) -> None:
-        """Close and unlink the segment; safe to call more than once."""
-        if self._segment is None:
-            return
-        segment, self._segment = self._segment, None
-        with _SEGMENTS_LOCK:
-            _LIVE_SEGMENTS.discard(self)
-        try:
-            segment.close()
-        finally:
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
+    size = max(1, math.ceil(len(items) / (4 * workers)))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 class _PoolWorkStream(WorkStream):
-    """Stream over a :class:`ProcessPoolExecutor`, one future per item.
+    """Stream over a :class:`ProcessPoolExecutor`, chunked, O(1) per outcome.
 
-    The work function reaches the workers through the pool initializer
-    (``pool_kwargs``); submissions pickle only the item and invoke
-    ``run_item``, which resolves the per-process function slot.  ``on_close``
-    releases whatever shipped the function (e.g. the shared-memory segment).
+    :meth:`submit` only buffers the item.  :meth:`next_outcome` flushes the
+    buffer as :func:`_chunks` futures whenever the stream has nothing ready
+    to return or fewer chunks are running than there are workers; every
+    future runs the per-worker installed function over its chunk.
+    Completions arrive through
+    :meth:`concurrent.futures.Future.add_done_callback` into a deque under a
+    condition variable, so delivering one costs O(1) whatever the number of
+    futures in flight.
     """
 
-    def __init__(self, max_workers: int, pool_kwargs: Dict[str, Any],
-                 run_item: Callable[[WorkItem], Tuple[bool, Any]],
+    def __init__(self, max_workers: int, fn: WorkFn,
                  report: Optional[PayloadReport] = None,
-                 on_close: Optional[Callable[[], None]] = None,
                  mp_context: Any = None) -> None:
         from concurrent.futures import ProcessPoolExecutor
         self._pool = ProcessPoolExecutor(max_workers=max_workers,
                                          mp_context=mp_context,
-                                         **pool_kwargs)
-        self._run_item = run_item
+                                         initializer=_install_fn,
+                                         initargs=(fn,))
+        self._workers = max_workers
         self._report = report
-        self._on_close = on_close
-        self._items: dict = {}
-        self._pending: set = set()
-        self._ready: deque = deque()
+        self._buffer: List[WorkItem] = []
+        self._futures: set = set()
+        self._done: deque = deque()     # (chunk, future), completion order
+        self._cond = threading.Condition()
+        self._ready: deque = deque()    # outcomes of drained chunks
 
     def submit(self, item: WorkItem) -> None:
-        if self._report is not None:
-            self._report.n_items += 1
-            self._report.task_bytes += len(
-                pickle.dumps(item, protocol=_PICKLE_PROTOCOL))
-        future = self._pool.submit(self._run_item, item)
-        self._items[future] = item
-        self._pending.add(future)
+        self._buffer.append(item)
+
+    def _flush(self) -> None:
+        items, self._buffer = self._buffer, []
+        for chunk in _chunks(items, self._workers):
+            if self._report is not None:
+                self._report.n_items += len(chunk)
+                self._report.task_bytes += len(
+                    pickle.dumps(chunk, protocol=_PICKLE_PROTOCOL))
+            future = self._pool.submit(_run_installed_chunk, chunk)
+            self._futures.add(future)
+            future.add_done_callback(functools.partial(self._on_done, chunk))
+
+    def _on_done(self, chunk: List[WorkItem], future: Any) -> None:
+        # Runs on the executor's management thread (or inline when the
+        # future is already done); never touches anything but the deque.
+        with self._cond:
+            self._done.append((chunk, future))
+            self._cond.notify()
 
     def next_outcome(self) -> StreamOutcome:
-        from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
+        try:
+            return self._next_outcome()
+        except BrokenProcessPool as exc:
+            raise EngineError(
+                "a campaign worker process died unexpectedly (crashed or was "
+                "killed); rerun serially to locate the failing task") from exc
+
+    def _next_outcome(self) -> StreamOutcome:
+        from concurrent.futures.process import BrokenProcessPool
+        # Flush when there is nothing ready to hand back, or when a worker
+        # would otherwise idle while the ready outcomes are drained.
+        running = len(self._futures) - len(self._done)
+        if self._buffer and (not self._ready or running < self._workers):
+            self._flush()
         if self._ready:
             return self._ready.popleft()
-        if not self._pending:
+        if not self._futures:
             raise EngineError("no submitted work is pending on the stream")
-        done, self._pending = wait(self._pending,
-                                   return_when=FIRST_COMPLETED)
-        for future in done:
-            item = self._items.pop(future)
-            try:
-                ok, value = future.result()
-            except BrokenProcessPool as exc:
-                raise EngineError(
-                    "a campaign worker process died unexpectedly (crashed "
-                    "or was killed); rerun serially to locate the failing "
-                    "task") from exc
-            except Exception as exc:
-                # e.g. the worker's result (or exception) failed to pickle
-                # on its way back: report it as that item's failure instead
-                # of aborting the whole stream.
-                ok, value = False, exc
-            self._ready.append((item, ok, value))
+        with self._cond:
+            while not self._done:
+                self._cond.wait()
+            chunk, future = self._done.popleft()
+        self._futures.discard(future)
+        try:
+            outcomes = future.result()
+        except BrokenProcessPool:
+            raise
+        except Exception as exc:
+            # e.g. a result (or exception) of the chunk failed to pickle on
+            # its way back: report it as the failure of that chunk's items
+            # instead of aborting the whole stream.
+            outcomes = [(False, exc)] * len(chunk)
+        self._ready.extend((item, ok, value)
+                           for item, (ok, value) in zip(chunk, outcomes))
         return self._ready.popleft()
 
     def close(self) -> None:
+        self._buffer = []
         try:
-            try:
-                for future in self._pending:
-                    future.cancel()
-                self._pool.shutdown(wait=True)
-            except BaseException:
-                # A consumer-side interrupt (e.g. a KeyboardInterrupt
-                # delivered while the pool drains, or a second Ctrl-C during
-                # the graceful shutdown above) must not leave the pool -- or
-                # the shared segment released by on_close below -- behind:
-                # give up on the workers without blocking and re-raise.
-                # cancel_futures only exists on Python >= 3.9; the explicit
-                # cancel loop above already covered the pending futures.
-                if sys.version_info >= (3, 9):
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                else:  # pragma: no cover (requires-python allows 3.8)
-                    self._pool.shutdown(wait=False)
-                raise
-        finally:
-            # Covers every exit path, including consumer-side interrupts:
-            # whatever shipped the work function (e.g. the /dev/shm segment
-            # of the shared-memory backend) is unlinked exactly once.
-            if self._on_close is not None:
-                self._on_close()
+            for future in self._futures:
+                future.cancel()
+            self._pool.shutdown(wait=True)
+        except BaseException:
+            # A consumer-side interrupt (e.g. a KeyboardInterrupt delivered
+            # while the pool drains, or a second Ctrl-C during the graceful
+            # shutdown above) must not leave the pool behind: give up on the
+            # workers without blocking and re-raise.  cancel_futures only
+            # exists on Python >= 3.9; the explicit cancel loop above
+            # already covered the pending futures.
+            if sys.version_info >= (3, 9):
+                self._pool.shutdown(wait=False, cancel_futures=True)
+            else:  # pragma: no cover (requires-python allows 3.8)
+                self._pool.shutdown(wait=False)
+            raise
 
 
 class ExecutionBackend(ABC):
-    """Maps a function over work items, in batch or incremental mode."""
+    """Runs a function over work items through a :class:`WorkStream`."""
 
     #: Short name used in reports.
     name: str = "backend"
@@ -410,22 +292,8 @@ class ExecutionBackend(ABC):
     workers: int = 1
 
     @abstractmethod
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        """Apply ``fn`` to every item; results returned in item order.
-
-        ``on_result`` is invoked in the calling process once per completed
-        item, in completion order (== submission order for the serial
-        backend).
-        """
-
     def stream(self, fn: WorkFn) -> WorkStream:
-        """Open an incremental :class:`WorkStream` executing ``fn``.
-
-        The default runs items in the calling process (correct for any
-        backend); pool backends override it to fan submissions out.
-        """
-        return _SerialWorkStream(fn)
+        """Open an incremental :class:`WorkStream` executing ``fn``."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -434,100 +302,23 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     workers = 1
 
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        results = []
-        for item in items:
-            outcome = fn(item)
-            if on_result is not None:
-                on_result(outcome)
-            results.append(outcome)
-        return results
-
-
-def _run_chunk(fn: WorkFn, chunk: List[WorkItem]) -> List[Any]:
-    """Executed inside a pool worker: run one shard of items.
-
-    Each item is reported as an ``(ok, value)`` pair rather than letting the
-    first failure abort the shard, so items completed before a failing
-    chunk-mate still reach the parent (and e.g. its result cache).
-    """
-    outcomes = []
-    for item in chunk:
-        try:
-            outcomes.append((True, fn(item)))
-        except Exception as exc:
-            outcomes.append((False, exc))
-    return outcomes
-
-
-class _FnShipment:
-    """Batch-mode shipping strategy of :class:`MultiprocessBackend`.
-
-    The work function travels inside every chunk submission, so each shard
-    re-pickles it (and the campaign context it closes over) through the
-    pool's pipe.
-    """
-
-    pool_kwargs: Dict[str, Any] = {}
-
-    def __init__(self, fn: WorkFn,
-                 report: Optional[PayloadReport] = None) -> None:
-        self._fn = fn
-        self._report = report
-
-    def submit(self, pool: Any, chunk: List[WorkItem]) -> Any:
-        if self._report is not None:
-            self._report.n_items += len(chunk)
-            self._report.task_bytes += len(
-                pickle.dumps((self._fn, chunk), protocol=_PICKLE_PROTOCOL))
-        return pool.submit(_run_chunk, self._fn, chunk)
-
-    def close(self) -> None:
-        pass
-
-
-class _SharedShipment:
-    """Batch-mode shipping strategy of :class:`SharedMemoryBackend`.
-
-    The work function is pickled once into a shared-memory segment; the pool
-    initializer rehydrates it per worker, and chunk submissions carry only
-    the items.
-    """
-
-    def __init__(self, fn: WorkFn,
-                 report: Optional[PayloadReport] = None) -> None:
-        self._segment = _SharedObject(fn)
-        self.pool_kwargs = {"initializer": _install_shared_fn,
-                            "initargs": (self._segment.name,)}
-        self._report = report
-        if report is not None:
-            report.context_bytes = self._segment.nbytes
-
-    def submit(self, pool: Any, chunk: List[WorkItem]) -> Any:
-        if self._report is not None:
-            self._report.n_items += len(chunk)
-            self._report.task_bytes += len(
-                pickle.dumps(chunk, protocol=_PICKLE_PROTOCOL))
-        return pool.submit(_run_installed_chunk, chunk)
-
-    def close(self) -> None:
-        self._segment.destroy()
+    def stream(self, fn: WorkFn) -> WorkStream:
+        return _SerialWorkStream(fn)
 
 
 class MultiprocessBackend(ExecutionBackend):
     """Chunked fan-out over a :class:`ProcessPoolExecutor`.
 
+    Every stream starts its own pool, whose initializer installs the work
+    function once per worker; submissions are flushed to it in chunks of
+    ``ceil(n_buffered / (4 * workers))`` items.
+
     Parameters
     ----------
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.
-    chunk_size:
-        Items per shard.  Defaults to ``ceil(n / (4 * workers))`` so each
-        worker receives ~4 shards -- large enough to amortise the per-shard
-        pickling of the worker context, small enough to balance load.
     measure_payload:
-        When True, every run records the bytes shipped to the pool on
+        When True, every stream records the bytes shipped to the pool on
         :attr:`last_payload` (a :class:`PayloadReport`).  Measuring
         re-pickles each submission, so leave it off outside benchmarks.
     mp_context:
@@ -543,14 +334,11 @@ class MultiprocessBackend(ExecutionBackend):
     name = "multiprocess"
 
     def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  measure_payload: bool = False,
                  mp_context: Optional[str] = None) -> None:
         import os
         if max_workers is not None and max_workers <= 0:
             raise EngineError(f"max_workers must be positive, got {max_workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise EngineError(f"chunk_size must be positive, got {chunk_size}")
         if mp_context is not None:
             import multiprocessing
             valid = multiprocessing.get_all_start_methods()
@@ -559,10 +347,9 @@ class MultiprocessBackend(ExecutionBackend):
                     f"mp_context must be one of {sorted(valid)} on this "
                     f"platform, got {mp_context!r}")
         self.workers = max_workers or (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
         self.measure_payload = measure_payload
         self.mp_context = mp_context
-        #: Payload measurement of the most recent run (None unless
+        #: Payload measurement of the most recent stream (None unless
         #: ``measure_payload`` is set).
         self.last_payload: Optional[PayloadReport] = None
 
@@ -573,144 +360,13 @@ class MultiprocessBackend(ExecutionBackend):
         import multiprocessing
         return multiprocessing.get_context(self.mp_context)
 
-    def _chunks(self, items: Sequence[WorkItem]) -> List[List[WorkItem]]:
-        size = self.chunk_size or max(
-            1, math.ceil(len(items) / (4 * self.workers)))
-        return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-    def _new_report(self) -> Optional[PayloadReport]:
-        self.last_payload = PayloadReport() if self.measure_payload else None
-        return self.last_payload
-
-    # ------------------------------------------------------ shipping strategy
-    def _shipment(self, fn: WorkFn) -> Any:
-        """Batch-mode shipping strategy; overridden by the shm backend."""
-        return _FnShipment(fn, self._new_report())
-
     def stream(self, fn: WorkFn) -> WorkStream:
-        report = self._new_report()
+        report = PayloadReport() if self.measure_payload else None
         if report is not None:
             # The initializer arguments re-pickle the function (and its
             # captured campaign context) once per worker process.
             report.context_bytes = self.workers * len(
                 pickle.dumps(fn, protocol=_PICKLE_PROTOCOL))
-        return _PoolWorkStream(self.workers,
-                               {"initializer": _install_fn, "initargs": (fn,)},
-                               _run_installed_item,
-                               report=report,
+        self.last_payload = report
+        return _PoolWorkStream(self.workers, fn, report=report,
                                mp_context=self._pool_context())
-
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        if not items:
-            return []
-        # Lazy import: keeps the serial path free of multiprocessing plumbing.
-        from concurrent.futures import (CancelledError, FIRST_COMPLETED,
-                                        ProcessPoolExecutor, wait)
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunks = self._chunks(items)
-        ordered: List[Any] = [None] * len(items)
-        offsets = {}
-        start = 0
-        shipment = self._shipment(fn)
-        try:
-            with ProcessPoolExecutor(max_workers=self.workers,
-                                     mp_context=self._pool_context(),
-                                     **shipment.pool_kwargs) as pool:
-                pending = set()
-                for chunk in chunks:
-                    future = shipment.submit(pool, chunk)
-                    offsets[future] = (start, len(chunk))
-                    pending.add(future)
-                    start += len(chunk)
-                try:
-                    failure: Optional[BaseException] = None
-                    while pending:
-                        done, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                        for future in done:
-                            offset, _ = offsets[future]
-                            try:
-                                outcomes = future.result()
-                            except CancelledError:
-                                continue
-                            except Exception as exc:
-                                if failure is None:
-                                    failure = exc
-                                continue
-                            for position, (ok, value) in enumerate(outcomes):
-                                if not ok:
-                                    if failure is None:
-                                        failure = value
-                                    continue
-                                ordered[offset + position] = value
-                                if on_result is not None:
-                                    on_result(value)
-                        if failure is not None and pending:
-                            # Stop chunks that have not started, but keep
-                            # draining the ones already running: their
-                            # completed work must still reach on_result
-                            # (which e.g. persists results to the cache)
-                            # before the failure propagates.
-                            pending = {f for f in pending if not f.cancel()}
-                    if failure is not None:
-                        raise failure
-                except BrokenProcessPool as exc:
-                    raise EngineError(
-                        "a campaign worker process died unexpectedly "
-                        "(crashed or was killed); rerun serially to locate "
-                        "the failing task") from exc
-                finally:
-                    for future in pending:
-                        future.cancel()
-        finally:
-            # After the pool has fully shut down (the `with` exit waits), so
-            # no worker can still be attached to a shared segment.
-            shipment.close()
-        return ordered
-
-
-class SharedMemoryBackend(MultiprocessBackend):
-    """Multiprocess execution with the campaign context shared, not shipped.
-
-    Identical scheduling, chunking and failure semantics to
-    :class:`MultiprocessBackend`; only the transport differs.  The work
-    function -- together with the campaign context it closes over (the
-    behavioral ADC spec, calibration windows, defect universe, ...) -- is
-    pickled **once** into a ``multiprocessing.shared_memory`` segment when
-    the pool starts, and every worker rehydrates it read-only in its pool
-    initializer.  Submissions then carry only the bare work items (task id,
-    seed material, small spec dict), so per-task payload bytes shrink by the
-    size of the context times the number of shards.
-
-    The owning process unlinks the segment when the run finishes (batch
-    mode) or the stream is closed, so no ``/dev/shm`` entries outlive the
-    engine.  Results are bit-identical to the serial and multiprocess
-    backends under the same seed: the transport never touches seeding or
-    completion-order bookkeeping.
-    """
-
-    name = "shm"
-
-    def _shipment(self, fn: WorkFn) -> Any:
-        return _SharedShipment(fn, self._new_report())
-
-    def stream(self, fn: WorkFn) -> WorkStream:
-        report = self._new_report()
-        segment = _SharedObject(fn)
-        if report is not None:
-            report.context_bytes = segment.nbytes
-        try:
-            return _PoolWorkStream(self.workers,
-                                   {"initializer": _install_shared_fn,
-                                    "initargs": (segment.name,)},
-                                   _run_installed_item,
-                                   report=report,
-                                   on_close=segment.destroy,
-                                   mp_context=self._pool_context())
-        except BaseException:
-            # Pool construction failed; nobody will ever call close(), so
-            # the segment must be unlinked here or it outlives the engine.
-            segment.destroy()
-            raise

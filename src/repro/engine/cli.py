@@ -9,8 +9,8 @@ cache::
     repro-campaign calibrate --monte-carlo 100 --workers 4 --cache-dir .cache
     repro-campaign campaign --blocks sc_array vcm_generator --workers 4
     repro-campaign pipeline --workers 4 --cache-dir .cache --json out.json
-    repro-campaign block-study --workers 4 --backend shm --json table1.json
-    repro-campaign yield-study --workers 4 --backend shm --json study.json
+    repro-campaign block-study --workers 4 --json table1.json
+    repro-campaign yield-study --workers 4 --json study.json
     repro-campaign cache stats --cache-dir .cache
     repro-campaign warehouse index .cache --db results.sqlite
     repro-campaign warehouse query per-block-coverage --db results.sqlite
@@ -34,10 +34,9 @@ Every campaign-shaped subcommand emits the same per-block JSON schema, with
 the single engine report of the run under the top-level ``engine`` key.
 
 ``--workers 1`` (the default) executes serially; any higher count shards the
-work across a process pool with byte-identical results.  ``--backend shm``
-ships the campaign context (the behavioral ADC, windows, universe) to the
-workers once through a shared-memory segment instead of re-pickling it per
-task shard; ``--mp-context`` picks the worker start method (fork, spawn or
+work across a process pool with byte-identical results; the pool receives
+the campaign context (the behavioral ADC, windows, universe) once per
+worker, and ``--mp-context`` picks the worker start method (fork, spawn or
 forkserver).  ``--cache-dir`` makes repeated runs near-free: every
 per-defect record and per-sample residual set is stored as a
 content-addressed JSON artifact, optionally bounded by
@@ -81,15 +80,14 @@ def _positive_int(value: str) -> int:
 
 
 def _build_backend(args: argparse.Namespace):
-    from . import MultiprocessBackend, SerialBackend, SharedMemoryBackend
+    from . import MultiprocessBackend, SerialBackend
     choice = getattr(args, "backend", None)
     if choice is None:
         choice = "serial" if args.workers <= 1 else "multiprocess"
     if choice == "serial":
         return SerialBackend()
-    cls = SharedMemoryBackend if choice == "shm" else MultiprocessBackend
-    return cls(max_workers=max(args.workers, 1),
-               mp_context=getattr(args, "mp_context", None))
+    return MultiprocessBackend(max_workers=max(args.workers, 1),
+                               mp_context=getattr(args, "mp_context", None))
 
 
 def _build_cache(args: argparse.Namespace, namespace: str):
@@ -112,11 +110,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial; results are "
                              "identical for any value)")
-    parser.add_argument("--backend", choices=("serial", "multiprocess", "shm"),
+    parser.add_argument("--backend", choices=("serial", "multiprocess"),
                         default=None,
                         help="execution backend (default: serial when "
-                             "--workers 1, multiprocess otherwise; shm ships "
-                             "the campaign context once via shared memory)")
+                             "--workers 1, multiprocess otherwise)")
     parser.add_argument("--mp-context",
                         choices=("fork", "spawn", "forkserver"), default=None,
                         help="worker start method of the pool backends "
@@ -670,7 +667,7 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     console.info(format_summary(summary))
     _emit(args, {
         "backend": summary.backend, "workers": summary.workers,
-        "mode": summary.mode, "wall_time": summary.wall_time,
+        "wall_time": summary.wall_time,
         **summary.counts,
         "n_items": summary.n_items,
         "phase_seconds": summary.phase_seconds,

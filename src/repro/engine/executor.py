@@ -14,19 +14,18 @@ pipeline is:
 4. store freshly computed results back into the cache and assemble all
    results in task order.
 
-Flat graphs (no dependency edges) are executed in one batch through
-:meth:`~repro.engine.backends.ExecutionBackend.map_items`.  Graphs *with*
-edges go through a topological scheduler instead: tasks are dispatched to the
-backend's :class:`~repro.engine.backends.WorkStream` the moment their last
-parent completes (no stage barriers), a cache hit on a parent unblocks its
-children immediately without touching the backend, and a failed task marks
-every descendant ``skipped`` while the rest of the graph keeps running.
+Every run goes through one topological scheduler: tasks are dispatched to
+the backend's :class:`~repro.engine.backends.WorkStream` the moment their
+last parent completes (no stage barriers; a flat graph is simply one whose
+tasks are all roots), a cache hit on a parent unblocks its children
+immediately without touching the backend, and a failed task marks every
+descendant ``skipped`` while the rest of the graph keeps running.
 
 Worker contract
 ---------------
-Flat graphs: ``worker(context, task, rng) -> result``.  Dependency graphs:
-``worker(context, task, rng, inputs) -> result`` where ``inputs`` maps each
-parent task id to its result (empty for root tasks).  ``context`` is an
+Graphs without edges: ``worker(context, task, rng) -> result``.  Graphs with
+edges: ``worker(context, task, rng, inputs) -> result`` where ``inputs`` maps
+each parent task id to its result (empty for root tasks).  ``context`` is an
 arbitrary (picklable, for multiprocess execution) object shared by all tasks
 of a run; ``rng`` is a ``numpy`` generator seeded from the task's own
 ``SeedSequence`` child, so results are independent of worker count and
@@ -121,7 +120,7 @@ class CampaignReport:
     stage_durations: Dict[str, float] = field(default_factory=dict)
     #: Completed-task count per pipeline stage (same conditions).
     stage_counts: Dict[str, int] = field(default_factory=dict)
-    #: Tasks whose worker raised (dependency-graph runs only).
+    #: Tasks whose worker raised.
     n_failed: int = 0
     #: Tasks never dispatched because an ancestor failed.
     n_skipped: int = 0
@@ -242,53 +241,31 @@ def _seed_token(seed_material: Any) -> str:
     return f"int:{int(seed_material)}"
 
 
-def _execute_task(worker: Callable[[Any, Task, np.random.Generator], Any],
-                  context: Any,
-                  item: Tuple[int, Task, Any]
+def _execute_item(worker: Callable[..., Any], context: Any, with_inputs: bool,
+                  item: Tuple[int, Task, Any, Mapping[str, Any]]
                   ) -> Tuple[int, Any, float, TaskSpan]:
-    """Run one flat-graph task (in whatever process the backend chose).
+    """Run one task (in whatever process the backend chose).
 
-    Module-level (and wrapped with :func:`functools.partial`) so the
-    multiprocess backend can pickle it.  Failures are re-raised as
-    :class:`TaskExecutionError` naming the task, so the parent process can
-    attribute crashes even across the pool boundary.  The returned
-    :class:`~repro.engine.telemetry.TaskSpan` carries the worker-side
-    monotonic clock readings back through the backend for telemetry.
+    Module-level (and wrapped with :func:`functools.partial`) so the pool
+    backends can pickle it.  ``with_inputs`` selects the worker contract:
+    ``worker(context, task, rng)`` for edge-free graphs,
+    ``worker(context, task, rng, inputs)`` otherwise.  Failures are
+    re-raised as :class:`TaskExecutionError` naming the task, so the parent
+    process can attribute crashes even across the pool boundary.  The
+    returned :class:`~repro.engine.telemetry.TaskSpan` carries the
+    worker-side monotonic clock readings back through the backend for
+    telemetry.
     """
-    index, task, seed_material = item
-    received = time.monotonic()
-    rng = np.random.default_rng(seed_material)
-    start = time.perf_counter()
-    exec_started = time.monotonic()
-    try:
-        result = worker(context, task, rng)
-    except TaskExecutionError:
-        raise
-    except Exception as exc:
-        raise TaskExecutionError(
-            f"task {task.task_id!r} failed: {type(exc).__name__}: {exc}") \
-            from exc
-    duration = time.perf_counter() - start
-    span = TaskSpan(worker=os.getpid(), started_at=received,
-                    finished_at=time.monotonic(),
-                    deserialize=exec_started - received)
-    return index, result, duration, span
-
-
-def _execute_graph_task(
-        worker: Callable[[Any, Task, np.random.Generator,
-                          Mapping[str, Any]], Any],
-        context: Any,
-        item: Tuple[int, Task, Any, Mapping[str, Any]]) \
-        -> Tuple[int, Any, float, TaskSpan]:
-    """Run one dependency-graph task; parent results arrive as ``inputs``."""
     index, task, seed_material, inputs = item
     received = time.monotonic()
     rng = np.random.default_rng(seed_material)
     start = time.perf_counter()
     exec_started = time.monotonic()
     try:
-        result = worker(context, task, rng, inputs)
+        if with_inputs:
+            result = worker(context, task, rng, inputs)
+        else:
+            result = worker(context, task, rng)
     except TaskExecutionError:
         raise
     except Exception as exc:
@@ -315,7 +292,7 @@ class _RunTelemetry:
 
     def __init__(self, bus: TelemetryBus, graph: TaskGraph,
                  stage_of: Optional[Mapping[str, str]],
-                 backend: ExecutionBackend, mode: str) -> None:
+                 backend: ExecutionBackend) -> None:
         self.bus = bus
         self.graph = graph
         self.stage_of = dict(stage_of) if stage_of else {}
@@ -331,7 +308,7 @@ class _RunTelemetry:
             stage: {"executed": 0, "cached": 0, "failed": 0, "skipped": 0}
             for stage in self.stage_totals}
         bus.emit("run_started", t=self.started, n_tasks=len(graph),
-                 backend=backend.name, workers=backend.workers, mode=mode,
+                 backend=backend.name, workers=backend.workers,
                  stages=dict(self.stage_totals))
 
     def _stage(self, task: Task) -> Optional[str]:
@@ -491,27 +468,24 @@ class CampaignEngine:
         Parameters
         ----------
         tasks:
-            A :class:`TaskGraph` or sequence of tasks.  Graphs with
-            dependency edges are executed by the topological scheduler and
-            their worker receives a fourth ``inputs`` argument (parent id ->
-            parent result).
+            A :class:`TaskGraph` or sequence of tasks.  The worker of a
+            graph with dependency edges receives a fourth ``inputs``
+            argument (parent id -> parent result).
         worker:
-            ``worker(context, task, rng)`` for flat graphs,
-            ``worker(context, task, rng, inputs)`` for dependency graphs.
+            ``worker(context, task, rng)`` for graphs without edges,
+            ``worker(context, task, rng, inputs)`` otherwise.
         codec:
             A :class:`ResultCodec`, or a per-task resolver
             ``codec_for(task) -> ResultCodec`` for heterogeneous graphs.
         on_failure:
             ``"raise"`` (default): raise :class:`TaskExecutionError` on task
-            failure.  For dependency graphs the scheduler first finishes all
-            runnable work and attaches the completed :class:`EngineRun` to
-            the exception as ``.run``; flat graphs keep the historical batch
-            behaviour (the backend raises after draining already-running
-            work, with no ``.run`` attribute).  ``"skip"``: never raise for
-            task failures; return the run with failed/skipped tasks recorded
-            in :attr:`EngineRun.statuses` / :attr:`EngineRun.errors` and
-            ``None`` results.  Flat graphs run with ``"skip"`` are routed
-            through the graph scheduler so partial results survive.
+            failure, after the scheduler has finished all runnable work
+            (every task independent of the failure still runs and reaches
+            the cache); the completed :class:`EngineRun` is attached to the
+            exception as ``.run``.  ``"skip"``: never raise for task
+            failures; return the run with failed/skipped tasks recorded in
+            :attr:`EngineRun.statuses` / :attr:`EngineRun.errors` and
+            ``None`` results.
         stage_of:
             Optional ``task_id -> stage`` mapping; when given, the report
             additionally aggregates completed-task durations and counts per
@@ -538,104 +512,18 @@ class CampaignEngine:
         codec_for = _resolve_codec(codec)
         progress = progress or self.progress
         bus = telemetry if telemetry is not None else self.telemetry
-        if graph.has_edges or on_failure == "skip" or cancel is not None:
-            return self._run_graph(graph, worker, context, codec_for,
-                                   progress, on_failure, stage_of, bus,
-                                   cancel)
-        return self._run_flat(graph, worker, context, codec_for, progress,
-                              stage_of, bus)
+        return self._schedule(graph, worker, context, codec_for, progress,
+                              on_failure, stage_of, bus, cancel)
 
-    # -------------------------------------------------------- flat (batch) run
-    def _run_flat(self, graph: TaskGraph, worker: Callable[..., Any],
+    # ------------------------------------------------------------- scheduler
+    def _schedule(self, graph: TaskGraph, worker: Callable[..., Any],
                   context: Any,
                   codec_for: Callable[[Task], ResultCodec],
                   progress: Optional[ProgressCallback],
+                  on_failure: str,
                   stage_of: Optional[Mapping[str, str]] = None,
-                  bus: Optional[TelemetryBus] = None) -> EngineRun:
-        n_tasks = len(graph)
-        started = time.perf_counter()
-        seeds = self._task_seeds(graph)
-        tele = None if bus is None else \
-            _RunTelemetry(bus, graph, stage_of, self.backend, mode="flat")
-
-        results: List[Any] = [None] * n_tasks
-        durations: Dict[str, float] = {}
-        statuses: Dict[str, str] = {}
-        done = 0
-
-        # ------------------------------------------------------ cache lookup
-        keys: List[Optional[str]] = [None] * n_tasks
-        pending: List[Tuple[int, Task, Any]] = []
-        for i, task in enumerate(graph):
-            keys[i] = self._cache_key(task, seeds[i])
-            if keys[i] is not None:
-                stored = self.cache.get(keys[i])
-                if stored is not MISS:
-                    results[i] = codec_for(task).decode(stored)
-                    durations[task.task_id] = 0.0
-                    statuses[task.task_id] = STATUS_CACHED
-                    done += 1
-                    if tele is not None:
-                        tele.cache_hit(task)
-                    if progress is not None:
-                        progress(TaskOutcome(index=i, task=task,
-                                             result=results[i], duration=0.0,
-                                             from_cache=True, done=done,
-                                             total=n_tasks))
-                    continue
-            pending.append((i, task, seeds[i]))
-        n_cache_hits = done
-
-        if tele is not None:
-            for index, task, _ in pending:
-                tele.submitted(task)
-
-        # --------------------------------------------------------- execution
-        def on_result(outcome: Tuple[int, Any, float, TaskSpan]) -> None:
-            nonlocal done
-            index, result, duration, span = outcome
-            done += 1
-            task = graph[index]
-            statuses[task.task_id] = STATUS_EXECUTED
-            # Store per completion (not after the whole run) so results of
-            # completed tasks survive a later task failure or interrupt.
-            if self.cache is not None and keys[index] is not None:
-                codec = codec_for(task)
-                self.cache.put(keys[index], codec.encode(result),
-                               task_id=task.task_id, spec=task.spec,
-                               sidecar=codec.sidecar)
-            if tele is not None:
-                tele.executed(task, duration, span)
-            if progress is not None:
-                progress(TaskOutcome(index=index, task=task, result=result,
-                                     duration=duration, from_cache=False,
-                                     done=done, total=n_tasks))
-
-        fn = functools.partial(_execute_task, worker, context)
-        for index, result, duration, _ in self.backend.map_items(
-                fn, pending, on_result=on_result):
-            results[index] = result
-            durations[graph[index].task_id] = duration
-
-        report = self._build_report(graph, durations, n_tasks,
-                                    n_executed=len(pending),
-                                    n_cache_hits=n_cache_hits,
-                                    started=started, stage_of=stage_of,
-                                    statuses=statuses)
-        if tele is not None:
-            tele.finished(report, self.backend)
-        return EngineRun(results=results, report=report,
-                         task_ids=graph.ids(), statuses=statuses)
-
-    # --------------------------------------------------- dependency-graph run
-    def _run_graph(self, graph: TaskGraph, worker: Callable[..., Any],
-                   context: Any,
-                   codec_for: Callable[[Task], ResultCodec],
-                   progress: Optional[ProgressCallback],
-                   on_failure: str,
-                   stage_of: Optional[Mapping[str, str]] = None,
-                   bus: Optional[TelemetryBus] = None,
-                   cancel: Optional[Callable[[], bool]] = None) -> EngineRun:
+                  bus: Optional[TelemetryBus] = None,
+                  cancel: Optional[Callable[[], bool]] = None) -> EngineRun:
         """Topological scheduling with cache short-circuits + failure skips.
 
         Tasks are dispatched the moment their last parent completes; there is
@@ -649,7 +537,7 @@ class CampaignEngine:
         started = time.perf_counter()
         seeds = self._task_seeds(graph)
         tele = None if bus is None else \
-            _RunTelemetry(bus, graph, stage_of, self.backend, mode="graph")
+            _RunTelemetry(bus, graph, stage_of, self.backend)
 
         results: List[Any] = [None] * n_tasks
         durations: Dict[str, float] = {}
@@ -657,9 +545,6 @@ class CampaignEngine:
         errors: Dict[str, str] = {}
         keys: List[Optional[str]] = [None] * n_tasks
 
-        # An edge-free graph lands here only for on_failure="skip"; its
-        # worker still follows the 3-argument flat contract.
-        has_edges = graph.has_edges
         remaining = [len(task.depends_on) for task in graph]
         ready: deque = deque(i for i, task in enumerate(graph)
                              if not task.depends_on)
@@ -702,9 +587,9 @@ class CampaignEngine:
                     if tele is not None:
                         tele.skipped(desc_id)
 
-        fn = functools.partial(
-            _execute_graph_task if has_edges else _execute_task,
-            worker, context)
+        # Edge-free graphs keep the 3-argument worker contract.
+        fn = functools.partial(_execute_item, worker, context,
+                               graph.has_edges)
         cancelled = False
         with self.backend.stream(fn) as stream:
             while ready or in_flight:
@@ -731,12 +616,9 @@ class CampaignEngine:
                             complete(index, codec_for(task).decode(stored),
                                      0.0, from_cache=True)
                             continue
-                    if has_edges:
-                        inputs = {dep: results[graph.index_of(dep)]
-                                  for dep in task.depends_on}
-                        stream.submit((index, task, seeds[index], inputs))
-                    else:
-                        stream.submit((index, task, seeds[index]))
+                    inputs = {dep: results[graph.index_of(dep)]
+                              for dep in task.depends_on}
+                    stream.submit((index, task, seeds[index], inputs))
                     if tele is not None:
                         tele.submitted(task, deps=task.depends_on)
                     in_flight += 1

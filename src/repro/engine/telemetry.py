@@ -23,7 +23,7 @@ optionally ``task_id``, ``stage``, ``group``, ``worker`` (pid) and a
 ``data`` mapping:
 
 =================  ==========================================================
-``run_started``    ``data``: n_tasks, backend, workers, mode, stages
+``run_started``    ``data``: n_tasks, backend, workers, stages
 ``task_submitted`` task handed to the backend; ``data.deps`` lists parents
 ``task_started``   worker began executing (``t`` is the *worker-side* clock)
 ``task_completed`` ``data``: queue_wait, deserialize, execute, ship,

@@ -7,13 +7,13 @@ on one machine, TCP across machines -- instead of children of a
 workers dial in (``repro-campaign worker --connect ADDR``), which is what
 lets a daemon's worker pool persist across runs and hosts.
 
-Transport design mirrors the shipping split of
+Transport design mirrors the pool stream of
 :mod:`repro.engine.backends`:
 
 * the work function -- with the whole campaign context it closes over --
   is pickled **once per stream** into a context frame, and shipped **once
-  per (worker connection, stream)**, like ``_SharedShipment``'s one-time
-  segment;
+  per (worker connection, stream)**, like the pool initializer ships it
+  once per worker process;
 * task submissions then carry only the bare work item, tagged with the
   context id and a sequence number.
 
@@ -41,11 +41,10 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..circuit.errors import EngineError
-from ..engine.backends import (ExecutionBackend, ResultCallback, WorkFn,
-                               WorkItem, WorkStream)
+from ..engine.backends import ExecutionBackend, WorkFn, WorkItem, WorkStream
 from .protocol import (PROTOCOL_VERSION, ProtocolError, create_listener,
                        encode_frame, recv_frame)
 
@@ -55,10 +54,9 @@ __all__ = ["SocketBackend"]
 class _Task:
     """One submitted item: where it came from, where it currently is."""
 
-    __slots__ = ("seq", "item", "stream", "attempts", "worker", "sent_at")
+    __slots__ = ("item", "stream", "attempts", "worker", "sent_at")
 
-    def __init__(self, seq: int, item: WorkItem, stream: "_SocketWorkStream"):
-        self.seq = seq
+    def __init__(self, item: WorkItem, stream: "_SocketWorkStream"):
         self.item = item
         self.stream = stream
         self.attempts = 0          # worker deaths suffered so far
@@ -98,15 +96,14 @@ class _SocketWorkStream(WorkStream):
                 "(closures and lambdas only work serially): %s" % exc
             ) from exc
         self.closed = False
-        self.outcomes: deque = deque()   # (item, ok, value, seq)
+        self.outcomes: deque = deque()   # (item, ok, value)
         self.open = 0                    # submitted, not yet delivered
 
-    def submit(self, item: WorkItem) -> int:
-        return self._backend._submit(self, item)
+    def submit(self, item: WorkItem) -> None:
+        self._backend._submit(self, item)
 
     def next_outcome(self):
-        item, ok, value, _seq = self._backend._next_outcome(self)
-        return item, ok, value
+        return self._backend._next_outcome(self)
 
     def close(self) -> None:
         self._backend._close_stream(self)
@@ -274,39 +271,13 @@ class SocketBackend(ExecutionBackend):
                 raise EngineError("socket backend is closed")
         return _SocketWorkStream(self, fn)
 
-    def map_items(self, fn: WorkFn, items: Sequence[WorkItem],
-                  on_result: ResultCallback = None) -> List[Any]:
-        if not items:
-            return []
-        ordered: List[Any] = [None] * len(items)
-        with self.stream(fn) as stream:
-            positions: Dict[int, int] = {}
-            for position, item in enumerate(items):
-                positions[stream.submit(item)] = position
-            failure: Optional[BaseException] = None
-            # Everything is already submitted, so drain it all: items that
-            # complete after the first failure must still reach on_result
-            # (which e.g. persists results to the cache), matching the
-            # multiprocess backend's failure semantics.
-            for _ in range(len(items)):
-                _item, ok, value, seq = self._next_outcome(stream)
-                if ok:
-                    ordered[positions[seq]] = value
-                    if on_result is not None:
-                        on_result(value)
-                elif failure is None:
-                    failure = value
-            if failure is not None:
-                raise failure
-        return ordered
-
     # --------------------------------------------------- stream-facing hooks
     def _new_ctx_id(self) -> int:
         with self._lock:
             self._next_ctx += 1
             return self._next_ctx
 
-    def _submit(self, stream: _SocketWorkStream, item: WorkItem) -> int:
+    def _submit(self, stream: _SocketWorkStream, item: WorkItem) -> None:
         with self._cond:
             if self._closed:
                 raise EngineError("socket backend is closed")
@@ -314,11 +285,10 @@ class SocketBackend(ExecutionBackend):
                 raise EngineError("work stream is closed")
             self._next_seq += 1
             seq = self._next_seq
-            self._tasks[seq] = _Task(seq, item, stream)
+            self._tasks[seq] = _Task(item, stream)
             self._queue.append(seq)
             stream.open += 1
             self._cond.notify_all()
-        return seq
 
     def _next_outcome(self, stream: _SocketWorkStream):
         deadline: Optional[float] = None
@@ -442,7 +412,7 @@ class SocketBackend(ExecutionBackend):
             task.worker = None
             del self._tasks[seq]
             if not task.stream.closed:
-                task.stream.outcomes.append((task.item, ok, value, seq))
+                task.stream.outcomes.append((task.item, ok, value))
             self._cond.notify_all()
 
     def _worker_died(self, worker: _Worker) -> None:
@@ -465,8 +435,7 @@ class SocketBackend(ExecutionBackend):
                                 EngineError(
                                     "work item lost to %d worker deaths "
                                     "(crashed, hung or unreachable workers); "
-                                    "giving up on it" % task.attempts),
-                                seq))
+                                    "giving up on it" % task.attempts)))
                     else:
                         # Retry promptly, ahead of fresh work.
                         self._queue.appendleft(seq)
@@ -521,8 +490,7 @@ class SocketBackend(ExecutionBackend):
                 if not task.stream.closed:
                     task.stream.outcomes.append((
                         task.item, False,
-                        EngineError("work item is not picklable: %s" % exc),
-                        seq))
+                        EngineError("work item is not picklable: %s" % exc)))
                 self._cond.notify_all()
                 continue
             task.worker = idle

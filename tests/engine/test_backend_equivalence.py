@@ -1,4 +1,4 @@
-"""Randomized serial x multiprocess x shm equivalence suite.
+"""Randomized serial x multiprocess equivalence suite.
 
 The engine's core guarantee is that the execution backend is invisible in
 the results: whatever shards the work, the windows, detections, coverage and
@@ -19,8 +19,7 @@ from repro.analysis import yield_loss_sweep
 from repro.core import collect_defect_free_residuals
 from repro.core.calibration import windows_from_pools
 from repro.defects import DefectCampaign, SamplingPlan
-from repro.engine import (MultiprocessBackend, SerialBackend,
-                          SharedMemoryBackend, block_study,
+from repro.engine import (MultiprocessBackend, SerialBackend, block_study,
                           calibrate_then_campaign)
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
@@ -113,7 +112,7 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
                                   backend=backend)
         return {"points": points}
     if kind == "pipeline":
-        # The dependency-graph (stream-mode) path of every backend.
+        # A dependency graph (the other drivers run flat ones).
         outcome = calibrate_then_campaign(
             n_monte_carlo=3, seed=case["seed"], blocks=[case["block"]],
             samples=case["n_samples"], backend=backend)
@@ -140,14 +139,13 @@ def _run_case(case, backend, deltas, calibration, batch_size=1):
             "counts": _report_counts(outcome.report)}
 
 
-@pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
+@pytest.mark.parametrize("backend_name", ["multiprocess"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_pool_backend_matches_serial(case, backend_name, deltas, calibration):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
             case, SerialBackend(), deltas, calibration)
-    backend = {"multiprocess": MultiprocessBackend,
-               "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = MultiprocessBackend(max_workers=2)
     assert _run_case(case, backend, deltas, calibration) == \
         _SERIAL_BASELINE[case["id"]]
 
@@ -173,7 +171,7 @@ def _strip_counts(signature):
     return {key: value for key, value in signature.items() if key != "counts"}
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "multiprocess", "shm"])
+@pytest.mark.parametrize("backend_name", ["serial", "multiprocess"])
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("case", BATCH_CASES,
                          ids=[c["id"] for c in BATCH_CASES])
@@ -183,11 +181,8 @@ def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name,
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
             case, SerialBackend(), deltas, calibration)
-    if backend_name == "serial":
-        backend = SerialBackend()
-    else:
-        backend = {"multiprocess": MultiprocessBackend,
-                   "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = SerialBackend() if backend_name == "serial" \
+        else MultiprocessBackend(max_workers=2)
     batched = _run_case(case, backend, deltas, calibration,
                         batch_size=batch_size)
     assert _strip_counts(batched) == \

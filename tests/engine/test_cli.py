@@ -34,10 +34,11 @@ class TestParser:
     def test_run_options(self):
         args = build_parser().parse_args(
             ["run", "study.toml", "--set", "campaign.samples=40",
-             "--set", "seed=7", "--workers", "2", "--backend", "shm"])
+             "--set", "seed=7", "--workers", "2", "--backend",
+             "multiprocess"])
         assert args.study == "study.toml"
         assert args.set == ["campaign.samples=40", "seed=7"]
-        assert args.backend == "shm"
+        assert args.backend == "multiprocess"
         with pytest.raises(SystemExit):  # the study spec is mandatory
             build_parser().parse_args(["run"])
 
@@ -53,11 +54,13 @@ class TestParser:
                 ["campaign", "--mp-context", "threads"])
 
     def test_backend_choices(self):
-        args = build_parser().parse_args(["campaign", "--backend", "shm"])
-        assert args.backend == "shm"
+        args = build_parser().parse_args(
+            ["campaign", "--backend", "multiprocess"])
+        assert args.backend == "multiprocess"
         assert build_parser().parse_args(["campaign"]).backend is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--backend", "bogus"])
+        for removed in ("bogus", "shm"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["campaign", "--backend", removed])
 
     def test_backend_resolution(self):
         from repro.engine.cli import _build_backend
@@ -65,13 +68,14 @@ class TestParser:
             build_parser().parse_args(["campaign"])).name == "serial"
         assert _build_backend(build_parser().parse_args(
             ["campaign", "--workers", "2"])).name == "multiprocess"
-        shm = _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2", "--backend", "shm"]))
-        assert shm.name == "shm"
-        assert shm.workers == 2
+        pool = _build_backend(build_parser().parse_args(
+            ["campaign", "--workers", "2", "--backend", "multiprocess"]))
+        assert pool.name == "multiprocess"
+        assert pool.workers == 2
         # an explicit pool backend with --workers 1 still runs a 1-wide pool
-        assert _build_backend(build_parser().parse_args(
-            ["campaign", "--backend", "shm"])).name == "shm"
+        single = _build_backend(build_parser().parse_args(
+            ["campaign", "--backend", "multiprocess"]))
+        assert single.name == "multiprocess" and single.workers == 1
 
     def test_yield_study_defaults(self):
         args = build_parser().parse_args(["yield-study"])
@@ -87,9 +91,9 @@ class TestParser:
         assert args.blocks is None
         assert not args.no_stop_on_detection
         args = build_parser().parse_args(
-            ["block-study", "--backend", "shm", "--workers", "2",
+            ["block-study", "--backend", "multiprocess", "--workers", "2",
              "--blocks", "sc_array", "vcm_generator"])
-        assert args.backend == "shm"
+        assert args.backend == "multiprocess"
         assert args.blocks == ["sc_array", "vcm_generator"]
 
     def test_batch_size_flag(self):
@@ -401,14 +405,15 @@ class TestRunCommand:
 
 
 class TestYieldStudyCommand:
-    def test_end_to_end_on_shm_backend(self, tmp_path, capsys):
+    def test_end_to_end_on_multiprocess_backend(self, tmp_path, capsys):
         out = tmp_path / "study.json"
         common = ["yield-study", "--monte-carlo", "3",
                   "--blocks", "vcm_generator", "--k-values", "3", "5",
                   "--max-escape-defects", "2",
                   "--cache-dir", str(tmp_path / "cache"),
                   "--json", str(out)]
-        assert main(common + ["--workers", "2", "--backend", "shm"]) == 0
+        assert main(common + ["--workers", "2", "--backend",
+                              "multiprocess"]) == 0
         cold = json.loads(out.read_text())
         assert [p["k"] for p in cold["yield_loss"]] == [3.0, 5.0]
         assert all(p["analytic_ppm"] > 0 for p in cold["yield_loss"])
@@ -419,9 +424,9 @@ class TestYieldStudyCommand:
         printed = capsys.readouterr().out
         assert "yield loss versus k" in printed
         assert "escape analysis:" in printed
-        assert "via shm" in printed
+        assert "via multiprocess" in printed
 
-        # Warm serial rerun must replay the shm run's artifacts bit-for-bit.
+        # Warm serial rerun must replay the pool run's artifacts bit-for-bit.
         assert main(common) == 0
         warm = json.loads(out.read_text())
         assert warm["yield_loss"] == cold["yield_loss"]

@@ -276,6 +276,11 @@ class TestWorkerCommand:
                 daemon=True)
             thread.start()
             triple = functools.partial(operator.mul, 3)
-            assert backend.map_items(triple, [1, 2, 3, 4]) == [3, 6, 9, 12]
+            with backend.stream(triple) as stream:
+                for item in [1, 2, 3, 4]:
+                    stream.submit(item)
+                outcomes = [stream.next_outcome() for _ in range(4)]
+            assert sorted(value for _, ok, value in outcomes if ok) == \
+                [3, 6, 9, 12]
             thread.join(timeout=30.0)
             assert not thread.is_alive()

@@ -7,7 +7,7 @@ from repro.circuit import EngineError, TaskExecutionError
 from repro.engine import (CampaignEngine, MultiprocessBackend, Pipeline,
                           ResultCache, STATUS_CACHED, STATUS_EXECUTED,
                           STATUS_FAILED, STATUS_SKIPPED, SerialBackend,
-                          SharedMemoryBackend, Task, TaskGraph, block_study,
+                          Task, TaskGraph, block_study,
                           build_block_study, build_calibrate_then_campaign,
                           build_yield_loss_study, calibrate_then_campaign,
                           yield_loss_study)
@@ -486,16 +486,14 @@ class TestBlockStudy:
 
     def test_pool_backends_match_serial(self):
         serial = self._study()
-        for backend in (MultiprocessBackend(max_workers=2),
-                        SharedMemoryBackend(max_workers=2)):
-            pooled = self._study(backend=backend)
-            for block in STUDY_BLOCKS:
-                assert pooled.calibrations[block].deltas == \
-                    serial.calibrations[block].deltas
-                assert _record_digest(pooled.results[block]) == \
-                    _record_digest(serial.results[block])
-                assert _summary_digest(pooled.summaries[block]) == \
-                    _summary_digest(serial.summaries[block])
+        pooled = self._study(backend=MultiprocessBackend(max_workers=2))
+        for block in STUDY_BLOCKS:
+            assert pooled.calibrations[block].deltas == \
+                serial.calibrations[block].deltas
+            assert _record_digest(pooled.results[block]) == \
+                _record_digest(serial.results[block])
+            assert _summary_digest(pooled.summaries[block]) == \
+                _summary_digest(serial.summaries[block])
 
     def test_single_report_spans_all_stages(self):
         outcome = self._study()
@@ -645,23 +643,23 @@ class TestYieldLossStudy:
             [(r.defect.defect_id, r.spec_violations, r.gross_failure)
              for r in escapes.records]
 
-    def test_shared_memory_backend_matches_serial(self):
+    def test_multiprocess_backend_matches_serial(self):
         serial = yield_loss_study(
             n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
             max_escape_defects=MAX_ESCAPES)
-        shm = yield_loss_study(
+        pooled = yield_loss_study(
             n_monte_carlo=MC, seed=SEED, blocks=[BLOCK], k_values=K_VALUES,
             max_escape_defects=MAX_ESCAPES,
-            backend=SharedMemoryBackend(max_workers=2))
-        assert shm.yield_points == serial.yield_points
-        assert shm.calibration.deltas == serial.calibration.deltas
-        assert _record_digest(shm.results[BLOCK]) == \
+            backend=MultiprocessBackend(max_workers=2))
+        assert pooled.yield_points == serial.yield_points
+        assert pooled.calibration.deltas == serial.calibration.deltas
+        assert _record_digest(pooled.results[BLOCK]) == \
             _record_digest(serial.results[BLOCK])
         assert [(r.defect.defect_id, r.spec_violations)
-                for r in shm.escapes.records] == \
+                for r in pooled.escapes.records] == \
             [(r.defect.defect_id, r.spec_violations)
              for r in serial.escapes.records]
-        assert shm.report.backend == "shm"
+        assert pooled.report.backend == "multiprocess"
 
     def test_warm_cache_replays_all_stages(self, tmp_path):
         def cache():

@@ -8,7 +8,7 @@ import pytest
 from repro.circuit import CalibrationError, EngineError
 from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
                           CANNED_STUDIES, MultiprocessBackend,
-                          SharedMemoryBackend, StageParam, StageSpec,
+                          StageParam, StageSpec,
                           StudySpec, YIELD_LOSS_STUDY, available_stages,
                           build_study, load_study, run_study,
                           stage_definition, yield_loss_study)
@@ -326,8 +326,7 @@ class TestCannedSpecBitIdentity:
     @pytest.mark.parametrize("backend", [
         None,
         MultiprocessBackend(max_workers=2),
-        SharedMemoryBackend(max_workers=2),
-    ], ids=["serial", "multiprocess", "shm"])
+    ], ids=["serial", "multiprocess"])
     def test_block_study_vs_manual_flow_on_every_backend(self, backend):
         from repro.adc import SarAdc
         from repro.core import calibrate_windows

@@ -2,12 +2,12 @@
 
 Covers the tentpole guarantees of the observability layer:
 
-* the engine emits a complete, *reconciling* event stream from both the
-  flat and the dependency-graph scheduler (counts match the
+* the engine emits a complete, *reconciling* event stream from its
+  scheduler, for flat and dependency graphs alike (counts match the
   :class:`~repro.engine.CampaignReport` exactly, including cached, failed
   and skipped tasks);
-* the logical event stream is backend-invariant (serial x multiprocess x
-  shm produce the same events modulo timestamps, ordering and worker pids)
+* the logical event stream is backend-invariant (serial x multiprocess
+  produce the same events modulo timestamps, ordering and worker pids)
   -- checked over randomized workloads drawn from the backend-equivalence
   suite's seeded case generator;
 * the JSONL trace is crash-safe to read (a truncated trailing line is
@@ -27,7 +27,7 @@ from repro.circuit.errors import EngineError, TaskExecutionError
 from repro.engine import (CampaignEngine, ChromeTraceSink, EVENT_TYPES,
                           JsonlTraceSink, MetricsSink, MultiprocessBackend,
                           ProgressSink, ResultCache, SerialBackend,
-                          SharedMemoryBackend, Task, TaskGraph, TelemetryBus,
+                          Task, TaskGraph, TelemetryBus,
                           TelemetryEvent, TelemetrySink, block_study,
                           chrome_trace, format_summary, read_trace,
                           run_study, summarize_trace)
@@ -275,8 +275,8 @@ def _event_signature(events):
     return {
         "terminal": terminal,
         "submitted": submitted,
-        "run_started": [(e.data["n_tasks"], e.data["mode"],
-                         e.data["stages"]) for e in started],
+        "run_started": [(e.data["n_tasks"], e.data["stages"])
+                        for e in started],
         "run_finished": [{key: e.data[key]
                           for key in ("n_tasks", "n_executed",
                                       "n_cache_hits", "n_failed",
@@ -328,15 +328,14 @@ def _run_case_events(case, backend, deltas, calibration):
 _SERIAL_EVENT_BASELINE = {}
 
 
-@pytest.mark.parametrize("backend_name", ["multiprocess", "shm"])
+@pytest.mark.parametrize("backend_name", ["multiprocess"])
 @pytest.mark.parametrize("case", EQUIVALENCE_CASES,
                          ids=[c["id"] for c in EQUIVALENCE_CASES])
 def test_event_stream_matches_serial(case, backend_name, deltas, calibration):
     if case["id"] not in _SERIAL_EVENT_BASELINE:
         _SERIAL_EVENT_BASELINE[case["id"]] = _run_case_events(
             case, SerialBackend(), deltas, calibration)
-    backend = {"multiprocess": MultiprocessBackend,
-               "shm": SharedMemoryBackend}[backend_name](max_workers=2)
+    backend = MultiprocessBackend(max_workers=2)
     assert _run_case_events(case, backend, deltas, calibration) == \
         _SERIAL_EVENT_BASELINE[case["id"]]
 
@@ -565,6 +564,23 @@ class TestTraceSummary:
         summary = summarize_trace(events)
         assert summary.wall_time == 0.0
 
+    def test_trace_with_legacy_mode_field_still_summarizes(self):
+        # Traces written while the engine had two schedulers carry a
+        # run_started "mode"; the field is ignored, not rejected.
+        events = [
+            TelemetryEvent(type="run_started", t=1.0,
+                           data={"n_tasks": 1, "backend": "serial",
+                                 "workers": 1, "mode": "flat",
+                                 "stages": {}}),
+            TelemetryEvent(type="cache_hit", t=1.5, task_id="a"),
+            TelemetryEvent(type="run_finished", t=2.0,
+                           data={"wall_time": 1.0, "n_tasks": 1,
+                                 "n_cache_hits": 1}),
+        ]
+        summary = summarize_trace(events)
+        assert summary.backend == "serial" and summary.n_cache_hits == 1
+        assert "mode" not in format_summary(summary)
+
     def test_interrupted_trace_falls_back_to_stream_extent(self):
         events = [
             TelemetryEvent(type="run_started", t=10.0,
@@ -661,13 +677,13 @@ class TestStudyTelemetry:
         spec = BLOCK_STUDY.override({
             "calibrate.n_monte_carlo": 3, "seed": 7,
             "campaign.blocks": ["vcm_generator"], "campaign.samples": 5})
-        outcome = run_study(spec, backend=SharedMemoryBackend(max_workers=2),
+        outcome = run_study(spec, backend=MultiprocessBackend(max_workers=2),
                             telemetry=bus)
         bus.close()
         events = read_trace(path)
         _assert_reconciles(events, outcome.report)
         summary = summarize_trace(events)
-        assert summary.backend == "shm" and summary.workers == 2
+        assert summary.backend == "multiprocess" and summary.workers == 2
         assert summary.n_tasks == outcome.report.n_tasks
         stage_names = {row.stage for row in summary.stages}
         assert {"calibrate", "windows", "campaign", "summary"} <= stage_names

@@ -15,9 +15,8 @@ import pytest
 
 from repro.defects import variant_seed
 from repro.dut import DutSpec
-from repro.engine import (MultiprocessBackend, ResultCache,
-                          SharedMemoryBackend, StageSpec, StudySpec,
-                          VariantSpec, build_study, run_study)
+from repro.engine import (MultiprocessBackend, ResultCache, StageSpec,
+                          StudySpec, VariantSpec, build_study, run_study)
 
 #: Randomized root seed, printed on failure via the parametrized id; one
 #: draw per test session keeps the three backend runs comparable.
@@ -108,8 +107,7 @@ def _serial_digests():
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend_factory", [
         lambda: MultiprocessBackend(max_workers=2),
-        lambda: SharedMemoryBackend(max_workers=2),
-    ], ids=["multiprocess", "shm"])
+    ], ids=["multiprocess"])
     def test_eight_bit_variant_study_identical_across_backends(
             self, backend_factory):
         """Randomized equivalence case (root seed drawn per session): every

@@ -19,6 +19,20 @@ INVERT = functools.partial(operator.truediv, 1.0)
 SLEEP = functools.partial(time.sleep)
 
 
+def run_items(backend, fn, items):
+    """Submit ``items`` through one stream and drain every outcome; returns
+    the results in item order, raising the first failure after the drain."""
+    with backend.stream(fn) as stream:
+        for item in items:
+            stream.submit(item)
+        outcomes = [stream.next_outcome() for _ in items]
+    failures = [value for _, ok, value in outcomes if not ok]
+    if failures:
+        raise failures[0]
+    by_item = {item: value for item, _, value in outcomes}
+    return [by_item[item] for item in items]
+
+
 @pytest.fixture(scope="module")
 def backend():
     """One backend + two spawned workers shared by the whole module; the
@@ -27,26 +41,32 @@ def backend():
         yield backend
 
 
-class TestMapItems:
+class TestStreamRuns:
     def test_results_in_item_order(self, backend):
         items = list(range(30))
-        assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+        assert run_items(backend, TRIPLE, items) == [3 * i for i in items]
 
-    def test_on_result_runs_in_completion_order(self, backend):
-        seen = []
-        backend.map_items(TRIPLE, list(range(10)), on_result=seen.append)
+    def test_outcomes_arrive_for_every_item(self, backend):
+        with backend.stream(TRIPLE) as stream:
+            for i in range(10):
+                stream.submit(i)
+            seen = [stream.next_outcome()[2] for _ in range(10)]
         assert sorted(seen) == [3 * i for i in range(10)]
 
-    def test_failure_raised_after_full_drain(self, backend):
-        with pytest.raises(ZeroDivisionError):
-            backend.map_items(INVERT, [2, 1, 0, 4])
+    def test_failure_reported_after_full_drain(self, backend):
+        with backend.stream(INVERT) as stream:
+            for item in [2, 1, 0, 4]:
+                stream.submit(item)
+            outcomes = [stream.next_outcome() for _ in range(4)]
+        assert sorted(item for item, ok, _ in outcomes if ok) == [1, 2, 4]
+        assert [item for item, ok, _ in outcomes if not ok] == [0]
 
-    def test_empty_items(self, backend):
-        assert backend.map_items(TRIPLE, []) == []
+    def test_empty_stream(self, backend):
+        assert run_items(backend, TRIPLE, []) == []
 
     def test_sequential_runs_reuse_workers(self, backend):
-        first = backend.map_items(TRIPLE, list(range(5)))
-        second = backend.map_items(INVERT, [1, 2, 4])
+        first = run_items(backend, TRIPLE, list(range(5)))
+        second = run_items(backend, INVERT, [1, 2, 4])
         assert first == [0, 3, 6, 9, 12]
         assert second == [1.0, 0.5, 0.25]
 
@@ -94,7 +114,7 @@ class TestWorkerDeath:
             backend.spawn_worker(crash_after=0)  # dies on its first task
             backend.spawn_worker()
             items = list(range(12))
-            assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+            assert run_items(backend, TRIPLE, items) == [3 * i for i in items]
 
     def test_retries_exhausted_reports_failure(self):
         # Every worker dies on its first task; after max_task_retries
@@ -125,7 +145,7 @@ class TestLifecycle:
     def test_no_workers_times_out_with_hint(self):
         with SocketBackend("tcp:127.0.0.1:0", worker_wait=0.3) as backend:
             with pytest.raises(EngineError, match="worker --connect"):
-                backend.map_items(TRIPLE, [1])
+                run_items(backend, TRIPLE, [1])
 
     def test_closed_backend_rejects_work(self):
         backend = SocketBackend("tcp:127.0.0.1:0")
@@ -148,4 +168,4 @@ class TestLifecycle:
             backend.spawn_worker()
             items = list(range(20))
             # the max-tasks worker retires mid-run; no task may be lost
-            assert backend.map_items(TRIPLE, items) == [3 * i for i in items]
+            assert run_items(backend, TRIPLE, items) == [3 * i for i in items]

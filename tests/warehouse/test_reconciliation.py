@@ -1,7 +1,7 @@
 """Warehouse rows must reconcile with the engine's own reporting.
 
 Randomized block-study specs (same seeded-generator discipline as the
-backend-equivalence suite) run under serial / multiprocess / shm with a
+backend-equivalence suite) run under serial / multiprocess with a
 live :class:`WarehouseSink`; the indexed rows are then checked against the
 :class:`CampaignReport` counts, the per-block JSON payload the CLI emits
 (``_block_json``) and the stored block-summary artifacts.  A second, warm
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (MultiprocessBackend, ResultCache, SerialBackend,
-                          SharedMemoryBackend, TelemetryBus, block_study)
+                          TelemetryBus, block_study)
 from repro.engine.cli import _block_json
 from repro.warehouse import WarehouseSink, run_canned_query
 
@@ -48,7 +48,6 @@ CASES = _random_cases()
 BACKENDS = {
     "serial": lambda: SerialBackend(),
     "multiprocess": lambda: MultiprocessBackend(max_workers=2),
-    "shm": lambda: SharedMemoryBackend(max_workers=2),
 }
 
 
