@@ -198,7 +198,7 @@ SWEEP_BLOCKS = ("vcm_generator", "rs_latch")
 
 
 def _sweep_stages():
-    from repro.engine import StageSpec
+    from repro.studies import StageSpec
     return (
         StageSpec(stage="calibrate", params={"n_monte_carlo": 8}),
         StageSpec(stage="windows", after=("calibrate",),
@@ -227,7 +227,7 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
     if N_WORKERS < 2:
         pytest.skip("single-CPU runner: pool utilization not measurable")
     from repro.defects import variant_seed
-    from repro.engine import StudySpec, VariantSpec, build_study
+    from repro.studies import StudySpec, VariantSpec, build_study
 
     def digest(outcome):
         return {block: _coverage_key(outcome.results[block])
@@ -278,17 +278,14 @@ def test_spec_compilation_overhead():
     """Declarative studies must compile for free next to running them.
 
     ``build_study`` resolves the canned block-study spec against the stage
-    registry and emits the same ~600-task graph the hand-written builder
-    used to: the DUT build, the LWRS selection and the task/spec
-    construction dominate, and they are shared with the legacy path (now a
-    thin wrapper).  Compiling the spec must stay under 1% of the default
-    block study's serial wall-clock -- the composition layer is free, the
-    simulations are the cost.
+    registry and emits its ~600-task graph: the DUT build, the LWRS
+    selection and the task/spec construction dominate.  Compiling the spec
+    must stay under 1% of the default block study's serial wall-clock --
+    the composition layer is free, the simulations are the cost.
     """
     import time
 
-    from repro.engine import BLOCK_STUDY, build_study
-    from repro.engine.pipeline import build_block_study
+    from repro.studies import BLOCK_STUDY, build_study
 
     def min_wall(builder, rounds=3):
         times = []
@@ -299,7 +296,6 @@ def test_spec_compilation_overhead():
         return min(times), plan
 
     spec_wall, plan = min_wall(lambda: build_study(BLOCK_STUDY))
-    legacy_wall, _ = min_wall(build_block_study)
 
     outcome = plan.run(backend=SerialBackend())
     run_wall = outcome.report.wall_time
@@ -308,9 +304,7 @@ def test_spec_compilation_overhead():
     print(format_table(
         ["path", "build (ms)", "run (s)", "overhead vs run"],
         [["build_study(BLOCK_STUDY)", f"{spec_wall * 1e3:.1f}",
-          f"{run_wall:.2f}", f"{100.0 * spec_wall / run_wall:.2f}%"],
-         ["build_block_study() wrapper", f"{legacy_wall * 1e3:.1f}",
-          "-", f"{100.0 * legacy_wall / run_wall:.2f}%"]],
+          f"{run_wall:.2f}", f"{100.0 * spec_wall / run_wall:.2f}%"]],
         title=f"spec compilation overhead "
               f"({outcome.report.n_tasks}-task default block study)"))
 

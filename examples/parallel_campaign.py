@@ -5,7 +5,9 @@ Demonstrates the dependency-aware pipeline executor (:mod:`repro.engine`):
 
 * the paper's two-phase workflow (window calibration on defect-free
   circuits, then the defect campaign against those windows) running as ONE
-  task graph via :func:`repro.engine.calibrate_then_campaign` -- Monte Carlo
+  task graph via the canned ``calibrate-then-campaign`` study
+  (:data:`repro.studies.CALIBRATE_THEN_CAMPAIGN`, compiled with
+  :func:`repro.studies.build_study`) -- Monte Carlo
   samples feed a ``windows`` reduction task, which feeds one task per
   defect, with no stage barrier in between;
 * the same workflow run the historical way (two separate invocations with
@@ -23,13 +25,13 @@ Run with::
 
 The equivalent shell one-liners are::
 
-    repro-campaign pipeline --workers 4 --cache-dir .repro-cache
+    repro-campaign run calibrate-then-campaign --workers 4 \\
+        --cache-dir .repro-cache
     repro-campaign run examples/studies/calibrate_then_campaign.toml \\
         --workers 4 --cache-dir .repro-cache
 
 (the second runs the same canned study from its declarative spec -- see
-``docs/studies.md``; :func:`repro.engine.calibrate_then_campaign` itself is
-a thin wrapper compiling that spec).
+``docs/studies.md``).
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ import numpy as np
 from repro.adc import SarAdc
 from repro.core import calibrate_windows, format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan, block_seed_sequence
-from repro.engine import (MultiprocessBackend, ResultCache,
-                          calibrate_then_campaign)
+from repro.engine import MultiprocessBackend, ResultCache
+from repro.studies import CALIBRATE_THEN_CAMPAIGN, build_study
 
 
 def manual_two_invocation_flow(args):
@@ -99,15 +101,16 @@ def main() -> None:
                              "temporary one)")
     args = parser.parse_args()
     headers = ["block", "#simulated", "#detected", "L-W coverage"]
-    pipeline_kwargs = dict(
-        n_monte_carlo=args.monte_carlo, seed=args.seed, blocks=args.blocks,
-        samples=args.samples, exhaustive_threshold=args.exhaustive_threshold)
+    spec = CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": args.seed, "calibrate.n_monte_carlo": args.monte_carlo,
+        "campaign.blocks": args.blocks, "campaign.samples": args.samples,
+        "campaign.exhaustive_threshold": args.exhaustive_threshold})
 
     print("1) manual two-invocation flow (calibrate, then campaign)...")
     calibration, manual = manual_two_invocation_flow(args)
 
     print("2) the same workflow as ONE task graph, serial...")
-    serial = calibrate_then_campaign(**pipeline_kwargs)
+    serial = build_study(spec).run()
     print()
     print(format_table(headers, rows_for(serial.results),
                        title="pipeline, serial"))
@@ -123,16 +126,14 @@ def main() -> None:
 
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cache-")
     print(f"3) sharded across {args.workers} workers, cold cache...")
-    parallel = calibrate_then_campaign(
+    parallel = build_study(spec).run(
         backend=MultiprocessBackend(max_workers=args.workers),
-        cache=ResultCache(cache_dir, namespace="pipeline"),
-        **pipeline_kwargs)
+        cache=ResultCache(cache_dir, namespace="pipeline"))
     print(f"   {parallel.report.summary()}")
 
     print("4) warm cache replay (parents short-circuit instantly)...")
-    warm = calibrate_then_campaign(
-        cache=ResultCache(cache_dir, namespace="pipeline"),
-        **pipeline_kwargs)
+    warm = build_study(spec).run(
+        cache=ResultCache(cache_dir, namespace="pipeline"))
     print(f"   {warm.report.summary()}")
 
     for block in args.blocks:

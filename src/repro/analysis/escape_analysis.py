@@ -108,7 +108,7 @@ def _escapes_from_jsonable(data: Mapping[str, Any]) -> EscapeAnalysisResult:
 
 
 #: Cache codec turning escape analyses into JSON artifacts and back; used by
-#: the yield-loss study pipeline (:mod:`repro.engine.pipeline`).
+#: the ``escape`` stage of the study layer (:mod:`repro.studies.stages`).
 ESCAPE_CODEC = ResultCodec(encode=_escapes_to_jsonable,
                            decode=_escapes_from_jsonable)
 

@@ -224,7 +224,7 @@ def windows_from_pools(pools: Mapping[str, Sequence[float]], k: float,
     """Derive ``(sigmas, means, deltas)`` from residual pools.
 
     The reduction step of :func:`calibrate_windows`, shared with the
-    ``calibrate -> campaign`` pipeline (:mod:`repro.engine.pipeline`) so both
+    study layer's windows stage (:mod:`repro.studies.stages`) so both
     paths produce bit-identical windows from the same pools: per invariance,
     ``sigma``/``mean`` over the pooled residuals and
     ``delta = max(k * sigma + |mean|, floor)``.
@@ -253,7 +253,7 @@ def calibration_from_windows(payload: Mapping[str, Any],
                              order: Sequence[str]) -> WindowCalibration:
     """Rebuild a :class:`WindowCalibration` from a windows-task payload.
 
-    The pipeline windows reductions (:mod:`repro.engine.pipeline`) return
+    The study windows reductions (:mod:`repro.studies.stages`) return
     ``{"k", "n_samples", "sigmas", "means", "deltas"}`` dictionaries that may
     have round-tripped through the JSON result cache; this re-orders the
     per-invariance entries to the canonical ``order`` so checker order never

@@ -167,10 +167,9 @@ def per_block_selection(universe: DefectUniverse,
 
     Shared by :meth:`repro.defects.DefectCampaign.run_per_block` and the
     campaign stage expander of the declarative study layer
-    (:mod:`repro.engine.registry`, which every campaign-shaped study graph
-    -- :func:`repro.engine.pipeline.build_block_study` and friends --
-    compiles through) so the flows can never drift apart in what they
-    simulate.
+    (:mod:`repro.studies.stages`, which every campaign-shaped study --
+    ``repro-campaign run block-study`` and friends -- compiles through) so
+    the flows can never drift apart in what they simulate.
     """
     threshold = exhaustive_threshold if exhaustive_threshold is not None \
         else n_samples

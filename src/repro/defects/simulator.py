@@ -203,9 +203,9 @@ def adc_fingerprint(adc: SarAdc, hierarchy: Any) -> str:
     (device parameters and defect states) and each block's sampled behavioral
     parameters.  Transient simulation state (latch memories) is deliberately
     excluded -- it drifts between runs without affecting results, since every
-    test run resets it.  Module-level so the ``calibrate -> campaign``
-    pipeline (:mod:`repro.engine.pipeline`) can fingerprint the IP without a
-    calibrated :class:`DefectCampaign` in hand.
+    test run resets it.  Module-level so the study compiler
+    (:mod:`repro.studies`) can fingerprint the IP without a calibrated
+    :class:`DefectCampaign` in hand.
     """
     behavioral = [(blk.block_path, sorted(blk.variation_state().items()))
                   for blk in adc.analog_blocks]
@@ -590,12 +590,11 @@ class DefectCampaign:
             _WORKER_STATE.pop(token, None)
 
     def run_per_block(self, n_samples_per_block: int,
-                      rng: Optional[np.random.Generator] = None,
                       exhaustive_threshold: Optional[int] = None,
                       progress: Optional[Callable[[int, int, DefectSimulationRecord], None]] = None,
                       backend: Optional[ExecutionBackend] = None,
                       cache: Optional[ResultCache] = None,
-                      seed: Optional[Any] = None,
+                      seed: Any = 0,
                       blocks: Optional[Sequence[str]] = None,
                       exhaustive: bool = False,
                       telemetry: Optional["TelemetryBus"] = None,
@@ -626,12 +625,6 @@ class DefectCampaign:
         seed:
             Root seed material (``int`` or ``SeedSequence``) of the
             per-block draws; defaults to 0.
-        rng:
-            Legacy alternative to ``seed``: one integer is drawn from the
-            generator to form the root seed.  The per-block draws still
-            derive from that root + block path, so they remain block-order
-            invariant (unlike the historical behaviour of threading ``rng``
-            itself through the sequential per-block loop).
         blocks / exhaustive:
             Optional restriction to a block subset / force exhaustive
             simulation of every block (the ``repro-campaign campaign``
@@ -648,8 +641,6 @@ class DefectCampaign:
         ``backend``/``cache``/``progress`` follow the :meth:`run`
         conventions.
         """
-        if seed is None:
-            seed = int(rng.integers(0, 2 ** 63 - 1)) if rng is not None else 0
         selection = per_block_selection(
             self.universe, seed, n_samples_per_block,
             exhaustive_threshold=exhaustive_threshold, blocks=blocks,

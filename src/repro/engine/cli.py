@@ -8,30 +8,25 @@ cache::
     repro-campaign run yield-loss-study --set campaign.samples=40
     repro-campaign calibrate --monte-carlo 100 --workers 4 --cache-dir .cache
     repro-campaign campaign --blocks sc_array vcm_generator --workers 4
-    repro-campaign pipeline --workers 4 --cache-dir .cache --json out.json
-    repro-campaign block-study --workers 4 --json table1.json
-    repro-campaign yield-study --workers 4 --json study.json
+    repro-campaign run block-study --workers 4 --json table1.json
     repro-campaign cache stats --cache-dir .cache
     repro-campaign warehouse index .cache --db results.sqlite
     repro-campaign warehouse query per-block-coverage --db results.sqlite
 
-``run`` is the general entry point: it loads a declarative study spec (a
-TOML/JSON document, or the name of a canned study -- see ``docs/studies.md``
-and ``examples/studies/``), applies ``--set stage.param=value`` overrides,
-compiles it against the stage registry and executes the whole study as one
-dependency-aware task graph.  The legacy study subcommands are thin aliases
-of it over the canned specs: ``pipeline`` (calibrate -> campaign),
-``block-study`` (per-block window calibration + every block's defect
-campaign + per-block reductions; Table I in one engine run) and
-``yield-study`` (the pipeline graph extended with the yield-loss sweep and
-the functional escape analysis).  ``calibrate`` and ``campaign`` run the two
-phases separately; ``cache`` inspects and garbage-collects a cache
-directory; ``warehouse`` maintains and queries a SQLite index of the
-completed results (``--warehouse DB`` on any workload subcommand keeps it
-up to date as runs finish).
+``run`` is the one way to run a study: it loads a declarative study spec
+(a TOML/JSON document, or the name of a canned study --
+``calibrate-then-campaign``, ``block-study`` (Table I in one engine run) or
+``yield-loss-study``; see ``docs/studies.md`` and ``examples/studies/``),
+applies ``--set stage.param=value`` overrides, compiles it with
+:mod:`repro.studies` and executes the whole study as one dependency-aware
+task graph.  ``calibrate`` and ``campaign`` run the two phases separately;
+``cache`` inspects and garbage-collects a cache directory; ``warehouse``
+maintains and queries a SQLite index of the completed results
+(``--warehouse DB`` on any workload subcommand keeps it up to date as runs
+finish).
 
-Every campaign-shaped subcommand emits the same per-block JSON schema, with
-the single engine report of the run under the top-level ``engine`` key.
+``run`` and ``campaign`` emit the same per-block JSON schema, with the
+single engine report of the run under the top-level ``engine`` key.
 
 ``--workers 1`` (the default) executes serially; any higher count shards the
 work across a process pool with byte-identical results; the pool receives
@@ -53,6 +48,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..studies import build_study, load_study, study_payload
+from ..studies.payload import _block_json
 from . import console
 
 
@@ -103,7 +100,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
                           seeded: bool = False) -> None:
     """Execution/caching options shared by every workload subcommand.
 
-    ``seeded=True`` adds the legacy study knobs (``--seed``,
+    ``seeded=True`` adds the ``calibrate``/``campaign`` knobs (``--seed``,
     ``--monte-carlo``, ``--k``) that the `run` subcommand replaces with
     spec entries / ``--set`` overrides.
     """
@@ -226,39 +223,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _block_json(block: str, result: Any, variant: Optional[str] = None,
-                dut_fingerprint: Optional[str] = None) -> Dict[str, Any]:
-    """Machine-readable per-block payload, shared by every campaign-shaped
-    subcommand (``campaign``, ``pipeline``, ``yield-study``, ``block-study``)
-    so they can never drift apart in JSON schema.
-
-    Every row names the device it ran against (``dut_fingerprint``,
-    defaulting to the paper's device) and the study variant it belongs to
-    (``variant``, None outside multi-variant studies), mirroring the
-    warehouse columns.
-
-    The engine keys (``engine_wall_time``, ``cache_hit_rate``) are dropped
-    from ``timing``: every subcommand now runs its whole sweep as one engine
-    run, so those numbers are graph-wide, not per-block, and are reported
-    once at the top level (the ``engine`` key) instead.
-    """
-    from ..dut import default_dut
-    report = result.block_report(block)
-    timing = result.timing_summary()
-    timing.pop("engine_wall_time", None)
-    timing.pop("cache_hit_rate", None)
-    return {
-        "block": block, "n_defects": report.n_defects,
-        "n_simulated": report.n_simulated,
-        "n_detected": result.n_detected,
-        "n_escaped": result.n_simulated - result.n_detected,
-        "coverage": report.coverage.value,
-        "ci_half_width": report.coverage.ci_half_width,
-        "variant": variant,
-        "dut_fingerprint": dut_fingerprint or default_dut().fingerprint(),
-        "timing": timing}
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     from ..adc import SarAdc
     from ..core import format_confidence, format_table
@@ -343,19 +307,15 @@ def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
     return key.strip(), value
 
 
-def _run_study(args: argparse.Namespace, spec: Any,
-               label: Optional[str] = None) -> int:
-    """Compile a study spec, run it and report -- the shared implementation
-    of ``run`` and the legacy study subcommands.
+def cmd_run(args: argparse.Namespace) -> int:
+    """Compile a study spec, run it and report.
 
     The cache namespace is "calibration" (not a study-private one) so the
     calibrate stage replays artifacts written by ``repro-campaign
     calibrate`` and vice versa; every other stage's artifacts carry
     distinct "driver" fields and cannot collide.
     """
-    from .spec import build_study
-
-    label = label or spec.name
+    spec = _load_spec_with_overrides(args)
     plan = build_study(spec)
     if plan.variants:
         console.info(f"running study {spec.name!r} as one task graph "
@@ -377,9 +337,9 @@ def _run_study(args: argparse.Namespace, spec: Any,
     if plan.variants:
         for name, vplan in plan.variants.items():
             _print_stage_tables(vplan, outcome.variants[name],
-                                f"{label}:{name}")
+                                f"{spec.name}:{name}")
     else:
-        _print_stage_tables(plan, outcome, label)
+        _print_stage_tables(plan, outcome, spec.name)
 
     console.info()
     console.info(f"engine: {outcome.report.summary()}")
@@ -390,70 +350,9 @@ def _run_study(args: argparse.Namespace, spec: Any,
     return 0
 
 
-def study_payload(spec: Any, plan: Any, outcome: Any,
-                  workers: int) -> Dict[str, Any]:
-    """The machine-readable result of one compiled study run -- exactly
-    the JSON ``repro-campaign run --json`` writes.
-
-    Pure (no console output) so the campaign daemon can persist the same
-    payload for a submitted study; daemon results and CLI results are
-    compared with ``tools/diff_study_json.py``, which pins the key schema,
-    so the two paths must never drift apart.
-    """
-    payload: Dict[str, Any] = {"workers": workers, "k": plan.k,
-                               "seed": spec.seed,
-                               "dut": plan.dut_fingerprint}
-    if plan.variants:
-        payload["variants"] = [
-            {"variant": name, "dut": vplan.dut_fingerprint,
-             **_stage_payload(vplan, outcome.variants[name])}
-            for name, vplan in plan.variants.items()]
-    else:
-        payload.update(_stage_payload(plan, outcome))
-    payload["engine"] = outcome.report.summary()
-    return payload
-
-
-def _stage_payload(plan: Any, outcome: Any) -> Dict[str, Any]:
-    """One (variant's) study outcome as its JSON fragment -- the payload
-    keys shared by the single-DUT and per-variant paths.  Pure; the
-    corresponding tables are printed by :func:`_print_stage_tables`."""
-    payload: Dict[str, Any] = {}
-
-    # With a uniform k the per-block window calibrations are identical;
-    # emit one table either way.
-    calibration = outcome.calibration
-    if calibration is not None:
-        payload["deltas"] = calibration.deltas
-
-    if plan.campaign_stage is not None:
-        payload["blocks"] = [
-            _block_json(block, result, variant=outcome.variant,
-                        dut_fingerprint=plan.dut_fingerprint)
-            for block, result in outcome.results.items()]
-
-    if plan.yield_stage is not None:
-        payload["yield_loss"] = [
-            {"k": p.k, "analytic_per_run": p.analytic_per_run,
-             "analytic_ppm": p.analytic_ppm, "empirical": p.empirical,
-             "empirical_ci_half_width": p.empirical_ci_half_width}
-            for p in outcome.yield_points]
-
-    escapes = outcome.escapes
-    if escapes is not None:
-        payload["escapes"] = {
-            "n_undetected_total": escapes.n_undetected_total,
-            "n_analyzed": escapes.n_analyzed,
-            "n_functional_escapes": escapes.n_functional_escapes,
-            "n_benign": escapes.n_benign,
-            "violations": escapes.violations_histogram()}
-
-    return payload
-
-
 def _print_stage_tables(plan: Any, outcome: Any, label: str) -> None:
     """Print one (variant's) study outcome: the per-stage console tables
-    backing the JSON fragments of :func:`_stage_payload`."""
+    backing the JSON fragments of :func:`repro.studies.study_payload`."""
     from ..core import format_confidence, format_table
 
     calibration = outcome.calibration
@@ -506,53 +405,6 @@ def _print_stage_tables(plan: Any, outcome: Any, label: str) -> None:
                      f"escapes, {escapes.n_benign} benign")
         for name, count in sorted(escapes.violations_histogram().items()):
             console.info(f"  {name}: {count}")
-
-
-def _legacy_study_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    """The shared campaign flags of the legacy study subcommands, as spec
-    overrides (study-level ``k`` feeds every stage declaring it)."""
-    return {
-        "seed": args.seed,
-        "k": args.k,
-        "calibrate.n_monte_carlo": args.monte_carlo,
-        "campaign.blocks": args.blocks or None,  # bare --blocks == all
-        "campaign.samples": args.samples,
-        "campaign.exhaustive": args.exhaustive,
-        "campaign.exhaustive_threshold": args.exhaustive_threshold,
-        "campaign.stop_on_detection": not args.no_stop_on_detection,
-        "campaign.batch_size": args.batch_size,
-    }
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from .spec import load_study
-    spec = load_study(args.study)
-    assignments = [_parse_set_assignment(entry)
-                   for entry in (args.set or [])]
-    if assignments:
-        spec = spec.override(dict(assignments))
-    return _run_study(args, spec)
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    from .spec import CALIBRATE_THEN_CAMPAIGN
-    spec = CALIBRATE_THEN_CAMPAIGN.override(_legacy_study_overrides(args))
-    return _run_study(args, spec, label="pipeline")
-
-
-def cmd_yield_study(args: argparse.Namespace) -> int:
-    from .spec import YIELD_LOSS_STUDY
-    spec = YIELD_LOSS_STUDY.override({
-        **_legacy_study_overrides(args),
-        "yield.k_values": [float(value) for value in args.k_values],
-        "escape.max_escape_defects": args.max_escape_defects})
-    return _run_study(args, spec, label="study")
-
-
-def cmd_block_study(args: argparse.Namespace) -> int:
-    from .spec import BLOCK_STUDY
-    spec = BLOCK_STUDY.override(_legacy_study_overrides(args))
-    return _run_study(args, spec, label="block-study")
 
 
 def _open_cache(args: argparse.Namespace):
@@ -775,7 +627,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _load_spec_with_overrides(args: argparse.Namespace):
-    from .spec import load_study
     spec = load_study(args.study)
     assignments = [_parse_set_assignment(entry)
                    for entry in (args.set or [])]
@@ -912,35 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(campaign)
     _add_campaign_arguments(campaign)
     campaign.set_defaults(func=cmd_campaign)
-
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="calibrate -> campaign as one dependency-aware task graph")
-    _add_common_arguments(pipeline)
-    _add_campaign_arguments(pipeline)
-    pipeline.set_defaults(func=cmd_pipeline)
-
-    block_study = sub.add_parser(
-        "block-study",
-        help="per-block window calibration + every block's defect campaign "
-             "as one task graph (Table I in one engine run)")
-    _add_common_arguments(block_study)
-    _add_campaign_arguments(block_study)
-    block_study.set_defaults(func=cmd_block_study)
-
-    study = sub.add_parser(
-        "yield-study",
-        help="calibrate -> campaign -> yield sweep -> escape analysis as "
-             "one task graph")
-    _add_common_arguments(study)
-    _add_campaign_arguments(study)
-    study.add_argument("--k-values", type=float, nargs="+",
-                       default=[2.0, 3.0, 4.0, 5.0, 6.0],
-                       help="window multipliers of the yield-loss sweep")
-    study.add_argument("--max-escape-defects", type=int, default=20,
-                       help="functional-test budget: analyse at most this "
-                            "many undetected defects")
-    study.set_defaults(func=cmd_yield_study)
 
     trace = sub.add_parser(
         "trace",

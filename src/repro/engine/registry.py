@@ -1,52 +1,32 @@
-"""Stage registry of the declarative study layer.
+"""Stage registry: named, typed, composable stage kinds.
 
-Every simulation stage a study can be composed of -- the defect-free Monte
-Carlo calibration, the windows reduction, the defect campaign, the yield
-sweep, the escape analysis, the per-block summary reduction -- is registered
-here under a stable name with a **typed parameter schema** and an *expander*
-that knows how to add the stage's tasks (and their dependency edges) to the
-study graph.  :func:`repro.engine.spec.build_study` walks a
-:class:`~repro.engine.spec.StudySpec` stage by stage, resolves each entry
-against this registry, validates its parameters and calls the expander --
-so a study is *data* (a TOML/JSON document) rather than a bespoke builder
-function, and a new workload shape is a new spec, not new scaffolding code.
+A *stage kind* is registered under a stable name with a **typed parameter
+schema** (:class:`StageParam`), an *expander* that knows how to add the
+stage's tasks (and their dependency edges) to a study's
+:class:`~repro.engine.pipeline.Pipeline`, and an optional result-codec
+factory.  A study compiler walks a declarative document stage by stage,
+resolves each entry against this registry (:func:`stage_definition`),
+validates and coerces its parameters (:meth:`StageDefinition.resolve_params`)
+and calls the expander -- so a study is *data* rather than a bespoke builder
+function, and a new workload shape is a new document, not new scaffolding
+code.
 
-Built-in stages
----------------
-
-==============  ============================================================
-``calibrate``   defect-free Monte Carlo instances (one task per sample)
-``windows``     comparison-window reduction (global, or one per block with
-                ``per_block = true``)
-``campaign``    defect injection + SymBIST run (one task per sampled defect)
-``yield``       empirical yield-loss point per ``k_values`` entry
-``escape``      functional escape analysis of undetected defects
-``block-summary``  per-block yield/coverage reduction (Table I rows)
-==============  ============================================================
-
-Determinism: each expander derives every random draw from the study's root
-seed through a stage-specific derivation -- calibration per-sample seeds
-from ``default_rng(seed)``, per-block LWRS draws from
-:func:`~repro.defects.sampling.block_seed_sequence` ``(seed, block path)``
--- exactly like the historical hand-written builders, so compiled graphs
-are bit-identical to them (and replay their cache artifacts) under the same
-root seed on any backend.
-
-Third-party stages can call :func:`register_stage` with their own
-:class:`StageDefinition`; the ``repro-campaign run`` subcommand picks them
-up as soon as the defining module is imported.
+This module is the mechanism only; it registers no stage itself.  The
+SymBIST stage kinds (``calibrate``, ``windows``, ``campaign``, ``yield``,
+``escape``, ``block-summary``) and the study compiler live in
+:mod:`repro.studies`, which registers them on import.  Third-party stages
+can call :func:`register_stage` with their own :class:`StageDefinition`;
+the ``repro-campaign run`` subcommand picks them up as soon as the defining
+module is imported.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..circuit.errors import CalibrationError, EngineError
-from .cache import canonical_json, factory_token
+from ..circuit.errors import EngineError
 from .executor import IDENTITY_CODEC, ResultCodec
-from .task import Task
 
 # --------------------------------------------------------------------- params
 
@@ -83,7 +63,7 @@ def coerce_param(param: StageParam, value: Any, where: str) -> Any:
 
     Normalises across the serialisation formats (TOML integers for float
     parameters, JSON lists for tuple-valued parameters) so a spec
-    round-trips to an identical :class:`~repro.engine.spec.StudySpec`
+    round-trips to an identical :class:`~repro.studies.StudySpec`
     whatever format it travelled through.  Lists normalise to tuples and
     maps to plain dicts.
     """
@@ -145,8 +125,8 @@ def coerce_param(param: StageParam, value: Any, where: str) -> Any:
 
 #: Expander contract: ``expand(build, name, params)`` adds the stage (and
 #: its tasks, with dependency edges onto previously expanded stages) to
-#: ``build.pipeline``.  ``build`` is the mutable
-#: :class:`repro.engine.spec.StudyBuild` threaded through compilation.
+#: ``build.pipeline``.  ``build`` is the mutable compilation state the
+#: study compiler threads through (:class:`repro.studies.StudyBuild`).
 StageExpander = Callable[[Any, str, Dict[str, Any]], None]
 
 
@@ -226,413 +206,3 @@ def stage_definition(name: str) -> StageDefinition:
 def available_stages() -> List[StageDefinition]:
     """Registered stage definitions, in registration order."""
     return list(_REGISTRY.values())
-
-
-# ---------------------------------------------------------------- expanders
-#
-# Each expander reproduces, task for task and spec for spec, what the
-# historical hand-written builders in repro.engine.pipeline emitted -- the
-# bit-identity (and cache-artifact compatibility) guarantees rest on that.
-
-def _expand_calibrate(build: Any, name: str,
-                      params: Dict[str, Any]) -> None:
-    from .pipeline import _register_calibrate_stage
-
-    n_monte_carlo = params["n_monte_carlo"]
-    if n_monte_carlo <= 0:
-        raise EngineError(
-            f"n_monte_carlo must be positive, got {n_monte_carlo}")
-    build.n_monte_carlo = n_monte_carlo
-    (build.calib_ids, build.calib_spec, build.seeds_token,
-     build.cacheable) = _register_calibrate_stage(
-        build.pipeline, build.adc_factory, build.stimulus,
-        build.invariances, build.variation_spec, build.seed, n_monte_carlo,
-        stage=name, codec=stage_definition("calibrate").make_codec(),
-        task_prefix=build.task_prefix, annotate=build.annotate)
-    build.calibrate_stage = name
-
-
-def _expand_windows(build: Any, name: str, params: Dict[str, Any]) -> None:
-    from .pipeline import _windows_stage_worker
-
-    build.require(name, "calibrate")
-    k = params["k"]
-    per_block = params["per_block"]
-    delta_floors = params["delta_floors"]
-    block_k = params["block_k"] or {}
-    if block_k and not per_block:
-        raise EngineError(
-            f"stage {name!r}: block_k only applies with per_block = true")
-    for k_value in [k, *block_k.values()]:
-        if k_value <= 0:
-            # Same up-front check as calibrate_windows: fail before any
-            # Monte Carlo work runs, not inside a windows reduction task.
-            raise CalibrationError(f"k must be positive, got {k_value}")
-    build.nominal_k = k
-    build.delta_floors = dict(delta_floors) if delta_floors else None
-    build.windows_stage = name
-    build.per_block = per_block
-
-    floors = dict(delta_floors) if delta_floors else None
-    if not per_block:
-        windows_spec = None
-        if build.cacheable:
-            windows_spec = build.annotate({
-                "driver": "symbist-pipeline-windows",
-                "calibration": build.calib_spec,
-                "k": k,
-                "n_monte_carlo": build.n_monte_carlo,
-                "seeds": build.seeds_token,
-                "delta_floors": floors})
-        build.pipeline.add_stage(
-            name, _windows_stage_worker,
-            context={"invariance_names": build.invariance_names, "k": k,
-                     "delta_floors": floors})
-        build.pipeline.add_task(name, Task(
-            task_id=name, spec=windows_spec, deterministic=True,
-            depends_on=tuple(build.calib_ids),
-            group=build.calibrate_stage))
-        build.windows_task_id = name
-        build.windows_specs[None] = windows_spec
-        return
-
-    build.pipeline.add_stage(
-        name, _windows_stage_worker,
-        context={"invariance_names": build.invariance_names,
-                 "delta_floors": floors})
-    for block in build.block_list():
-        k_block = float(block_k.get(block, k))
-        windows_spec = None
-        if build.cacheable:
-            windows_spec = build.annotate({
-                "driver": "symbist-block-windows",
-                "calibration": build.calib_spec,
-                "block": block,
-                "k": k_block,
-                "n_monte_carlo": build.n_monte_carlo,
-                "seeds": build.seeds_token,
-                "delta_floors": floors})
-        windows_id = f"{name}/{block}"
-        build.pipeline.add_task(name, Task(
-            task_id=windows_id, payload={"k": k_block}, spec=windows_spec,
-            deterministic=True, depends_on=tuple(build.calib_ids)))
-        build.windows_task_ids[block] = windows_id
-        build.windows_specs[block] = windows_spec
-
-
-def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
-    from ..defects.sampling import batch_spans
-    from ..defects.simulator import MODEL_SECONDS_PER_CYCLE
-    from .pipeline import _register_campaign_stage
-
-    build.require(name, "windows")
-    build.stop_on_detection = params["stop_on_detection"]
-    batch_size = params["batch_size"]
-    if batch_size <= 0:
-        raise EngineError(
-            f"batch_size must be positive, got {batch_size}")
-    adc, fingerprint, universe = build.dut()
-    build.worker_token = _register_campaign_stage(
-        build.pipeline, adc, build.stimulus, build.mode,
-        build.stop_on_detection, build.invariance_names, stage=name,
-        codec=stage_definition("campaign").make_codec())
-    build.campaign_stage = name
-
-    # Per-block LWRS draws derive from the root seed + block path
-    # (block_seed_sequence), exactly like DefectCampaign.run_per_block and
-    # the campaign subcommand -- so the selection is identical for any block
-    # order, block subset or worker count.
-    selection = build.selection()
-    # The per-block prefix is the historical literal "block"; a variant's
-    # instance label already carries the variant prefix, the literal needs
-    # it added explicitly.
-    prefix = build.task_prefix + "block" if build.per_block else name
-    driver = "symbist-block-defect" if build.per_block \
-        else "symbist-pipeline-defect"
-    for block in build.block_list():
-        block_universe = universe.by_block(block)
-        plan, defects = selection[block]
-        windows_id = build.windows_task_ids[block] if build.per_block \
-            else build.windows_task_id
-        windows_spec = build.windows_specs[
-            block if build.per_block else None]
-        task_ids = []
-        defect_specs = []
-        if batch_size == 1:
-            for j, defect in enumerate(defects):
-                spec = None
-                if build.cacheable:
-                    spec = build.annotate(
-                        {"driver": driver,
-                         "defect_id": defect.defect_id,
-                         "likelihood": defect.likelihood,
-                         "adc": fingerprint,
-                         "windows": windows_spec,
-                         "mode": build.mode.value,
-                         "stop_on_detection": build.stop_on_detection,
-                         "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
-                    defect_specs.append(spec)
-                task = Task(
-                    task_id=f"{prefix}/{block}/{j}/{defect.defect_id}",
-                    payload=defect, spec=spec, deterministic=True,
-                    group=block, depends_on=(windows_id,))
-                build.pipeline.add_task(name, task)
-                task_ids.append(task.task_id)
-        else:
-            # Batches never span blocks, so per-block result assembly and
-            # the seed-span scheme stay block-local.
-            for start, stop in batch_spans(len(defects), batch_size):
-                members = defects[start:stop]
-                spec = None
-                if build.cacheable:
-                    spec = build.annotate(
-                        {"driver": f"{driver}-batch",
-                         "members": [{"defect_id": d.defect_id,
-                                      "likelihood": d.likelihood}
-                                     for d in members],
-                         "adc": fingerprint,
-                         "windows": windows_spec,
-                         "mode": build.mode.value,
-                         "stop_on_detection": build.stop_on_detection,
-                         "seconds_per_cycle": MODEL_SECONDS_PER_CYCLE})
-                    defect_specs.append(spec)
-                task = Task(
-                    task_id=f"{prefix}-batch/{block}/{start}-{stop}",
-                    payload=list(members), spec=spec, deterministic=True,
-                    group=block, depends_on=(windows_id,),
-                    weight=len(members))
-                build.pipeline.add_task(name, task)
-                task_ids.append(task.task_id)
-        build.block_plans[block] = plan
-        build.block_universes[block] = block_universe
-        build.block_task_ids[block] = task_ids
-        build.block_defect_specs[block] = defect_specs
-
-
-def _expand_block_summary(build: Any, name: str,
-                          params: Dict[str, Any]) -> None:
-    from .pipeline import _block_summary_stage_worker
-
-    build.require(name, "campaign")
-    if not build.per_block:
-        raise EngineError(
-            f"stage {name!r} reduces per-block windows; set "
-            f"per_block = true on the windows stage (or drop the summary)")
-    build.pipeline.add_stage(name, _block_summary_stage_worker)
-    build.summary_stage = name
-    for block in build.block_list():
-        block_universe = build.block_universes[block]
-        plan = build.block_plans[block]
-        windows_id = build.windows_task_ids[block]
-        summary_spec = None
-        if build.cacheable:
-            summary_spec = build.annotate({
-                "driver": "symbist-block-summary",
-                "block": block,
-                "windows": build.windows_specs[block],
-                "records": hashlib.sha256(canonical_json(
-                    build.block_defect_specs[block]).encode()).hexdigest(),
-                "exhaustive": plan.exhaustive,
-                "universe_size": len(block_universe),
-                "universe_likelihood": block_universe.total_likelihood})
-        summary_id = f"{name}/{block}"
-        build.pipeline.add_task(name, Task(
-            task_id=summary_id,
-            payload={"block": block, "exhaustive": plan.exhaustive,
-                     "universe_size": len(block_universe),
-                     "universe_likelihood": block_universe.total_likelihood},
-            spec=summary_spec, deterministic=True,
-            depends_on=(windows_id,) + tuple(build.block_task_ids[block])))
-        build.summary_task_ids[block] = summary_id
-
-
-def _expand_yield(build: Any, name: str, params: Dict[str, Any]) -> None:
-    from .pipeline import _yield_stage_worker
-
-    build.require(name, "calibrate")
-    k_values = params["k_values"]
-    n_cycles = params["n_cycles"]
-    if n_cycles <= 0:
-        raise EngineError(f"n_cycles must be positive, got {n_cycles}")
-    if not k_values:
-        raise EngineError("k_values must name at least one k")
-    build.pipeline.add_stage(
-        name, _yield_stage_worker,
-        codec=stage_definition("yield").make_codec(),
-        context={"invariance_names": build.invariance_names,
-                 "k": params["k"], "n_cycles": n_cycles,
-                 "delta_floors": build.delta_floors})
-    build.yield_stage = name
-    build.k_values = [float(value) for value in k_values]
-    for index, k_value in enumerate(k_values):
-        spec = None
-        if build.cacheable:
-            # Everything an empirical point depends on: the residual pools
-            # (determined by the calibration spec + per-sample seeds) and
-            # the point's own parameters.
-            spec = build.annotate(
-                {"driver": "symbist-study-yield", "k": float(k_value),
-                 "n_cycles": n_cycles,
-                 "calibration": build.calib_spec,
-                 "seeds": build.seeds_token})
-        task = Task(task_id=f"{name}/{index}/k={k_value:g}",
-                    payload=float(k_value), spec=spec, deterministic=True,
-                    depends_on=tuple(build.calib_ids))
-        build.pipeline.add_task(name, task)
-        build.yield_task_ids.append(task.task_id)
-
-
-def _expand_escape(build: Any, name: str, params: Dict[str, Any]) -> None:
-    from .pipeline import _escape_stage_worker
-
-    build.require(name, "campaign")
-    max_defects = params["max_escape_defects"]
-    campaign_ids = [tid for block in build.block_list()
-                    for tid in build.block_task_ids[block]]
-    escape_spec = None
-    if build.cacheable:
-        defect_specs = [build.pipeline.graph.get(tid).spec
-                        for tid in campaign_ids]
-        escape_spec = build.annotate({
-            "driver": "symbist-study-escape",
-            "records": hashlib.sha256(
-                canonical_json(defect_specs).encode()).hexdigest(),
-            "max_defects": max_defects,
-            "factory": factory_token(build.adc_factory)})
-    build.pipeline.add_stage(
-        name, _escape_stage_worker,
-        codec=stage_definition("escape").make_codec(),
-        context={"adc_factory": build.adc_factory,
-                 "stop_on_detection": build.stop_on_detection,
-                 "max_escape_defects": max_defects})
-    build.escape_stage = name
-    build.escape_task_id = name
-    build.pipeline.add_task(name, Task(
-        task_id=name, spec=escape_spec, deterministic=True,
-        depends_on=tuple(campaign_ids)))
-
-
-# ------------------------------------------------------------ registrations
-#
-# The codec factories are the per-stage-kind payload declarations: how each
-# kind's results serialize into the artifact store.  They live here (not in
-# the expanders) so tooling over the registry -- the warehouse indexer, a
-# future artifact migrator -- can resolve a kind's storage shape without
-# compiling a study.
-
-def _calibrate_codec() -> ResultCodec:
-    from ..core.calibration import RESIDUAL_CODEC
-    return RESIDUAL_CODEC
-
-
-def _campaign_codec() -> ResultCodec:
-    from ..defects.simulator import RECORD_CODEC
-    return RECORD_CODEC
-
-
-def _yield_codec() -> ResultCodec:
-    from ..analysis.yield_loss import POINT_CODEC
-    return POINT_CODEC
-
-
-def _escape_codec() -> ResultCodec:
-    from ..analysis.escape_analysis import ESCAPE_CODEC
-    return ESCAPE_CODEC
-
-
-register_stage(StageDefinition(
-    name="calibrate",
-    doc="defect-free Monte Carlo instances (one task per sample); "
-        "per-sample seeds derive from default_rng(root seed)",
-    expand=_expand_calibrate,
-    codec=_calibrate_codec,
-    params=(
-        StageParam("n_monte_carlo", "int", default=50,
-                   doc="Monte Carlo samples of the window calibration"),
-    )))
-
-register_stage(StageDefinition(
-    name="windows",
-    doc="comparison-window reduction over the pooled calibration "
-        "residuals (delta = k*sigma + |mean|); one global reduction, or "
-        "one per block with per_block",
-    expand=_expand_windows,
-    requires=("calibrate",),
-    params=(
-        StageParam("k", "float", default=5.0,
-                   doc="window guard-band multiplier"),
-        StageParam("per_block", "bool", default=False,
-                   doc="calibrate one window set per block instead of one "
-                       "global set"),
-        StageParam("delta_floors", "float_map", default=None, nullable=True,
-                   doc="per-invariance lower bounds on the window "
-                       "half-widths"),
-        StageParam("block_k", "float_map", default=None, nullable=True,
-                   doc="per-block guard-band overrides (per_block only); "
-                       "blocks not named keep k"),
-    )))
-
-register_stage(StageDefinition(
-    name="campaign",
-    doc="defect injection + SymBIST run per sampled defect; per-block LWRS "
-        "draws derive from block_seed_sequence(root seed, block path)",
-    expand=_expand_campaign,
-    codec=_campaign_codec,
-    requires=("windows",),
-    params=(
-        StageParam("samples", "int", default=60,
-                   doc="LWRS budget for blocks too large to exhaust"),
-        StageParam("exhaustive", "bool", default=False,
-                   doc="simulate every defect of every block"),
-        StageParam("exhaustive_threshold", "int", default=120,
-                   doc="blocks with at most this many defects are "
-                       "simulated exhaustively"),
-        StageParam("stop_on_detection", "bool", default=True,
-                   doc="stop each defect's test at its first detection"),
-        StageParam("blocks", "str_list", default=None, nullable=True,
-                   doc="restrict the campaign to these block paths "
-                       "(default: every block)"),
-        StageParam("batch_size", "int", default=1,
-                   doc="defects evaluated per task as one vectorized sweep "
-                       "against a cached defect-free golden trace; results "
-                       "are bit-identical for every batch size"),
-    )))
-
-register_stage(StageDefinition(
-    name="yield",
-    doc="one empirical yield-loss point per k_values entry, fed directly "
-        "by the calibration samples",
-    expand=_expand_yield,
-    codec=_yield_codec,
-    requires=("calibrate",),
-    params=(
-        StageParam("k", "float", default=5.0,
-                   doc="nominal guard-band multiplier of the calibration "
-                       "the points are reported against"),
-        StageParam("k_values", "float_list",
-                   default=(2.0, 3.0, 4.0, 5.0, 6.0),
-                   doc="window multipliers of the yield-loss sweep"),
-        StageParam("n_cycles", "int", default=32,
-                   doc="checker invocations per SymBIST run assumed by the "
-                       "analytic yield model"),
-    )))
-
-register_stage(StageDefinition(
-    name="escape",
-    doc="functional escape analysis over the campaign's undetected defects",
-    expand=_expand_escape,
-    codec=_escape_codec,
-    requires=("campaign",),
-    params=(
-        StageParam("max_escape_defects", "int", default=20, nullable=True,
-                   doc="functional-test budget: analyse at most this many "
-                       "undetected defects (null = all)"),
-    )))
-
-register_stage(StageDefinition(
-    name="block-summary",
-    doc="per-block yield/coverage reduction over the campaign records "
-        "(the Table I rows), one task per block",
-    expand=_expand_block_summary,
-    requires=("windows", "campaign"),
-    params=()))

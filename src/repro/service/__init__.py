@@ -21,7 +21,7 @@ concurrent defect-coverage studies multiplexed onto one scheduler:
 * :mod:`repro.service.daemon` -- :class:`CampaignDaemon`, the
   ``repro-campaign serve`` process: accepts StudySpec submissions over a
   control socket, compiles them with the existing
-  :func:`~repro.engine.spec.build_study`, multiplexes concurrent studies
+  :func:`~repro.studies.build_study`, multiplexes concurrent studies
   onto one shared scheduler with a shared warm
   :class:`~repro.engine.ResultCache` and a worker pool that persists
   *across* runs, streams per-study telemetry to attached clients and

@@ -14,7 +14,7 @@ per-invocation CLI pays for on every run:
 
 Clients talk JSON lines over a control socket (see
 :mod:`repro.service.client`): ``submit`` a StudySpec (compiled with the
-existing :func:`~repro.engine.spec.build_study`, executed by up to
+existing :func:`~repro.studies.build_study`, executed by up to
 ``max_concurrent`` runner threads multiplexed onto the one backend),
 ``status`` it, ``attach`` to its live telemetry stream (the run's
 :class:`~repro.engine.JsonlTraceSink` JSONL schema, tailed with
@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional
 from ..circuit.errors import EngineError, ReproError
 from ..engine import (JsonlTraceSink, ResultCache, TelemetryBus,
                       follow_trace)
+from ..studies import StudySpec, build_study, study_payload
 from .protocol import (ProtocolError, create_listener, read_json_line,
                        send_json_line)
 from .socket_backend import SocketBackend
@@ -273,7 +274,6 @@ class CampaignDaemon:
     # --------------------------------------------------------------- submit
     def submit(self, spec_jsonable: Dict[str, Any]) -> str:
         """Queue one study (already-validated JSONable spec); return its id."""
-        from ..engine import StudySpec
         spec = StudySpec.from_jsonable(spec_jsonable).validated()
         slug = _SLUG_RE.sub("-", spec.name.lower()).strip("-") or "study"
         with self._lock:
@@ -332,9 +332,6 @@ class CampaignDaemon:
             self._execute(record)
 
     def _execute(self, record: StudyRecord) -> None:
-        from ..engine import StudySpec, build_study
-        from ..engine.cli import study_payload
-
         with self._lock:
             record.state = STATE_RUNNING
             record.started_at = time.time()

@@ -2,27 +2,25 @@
 
 A *study* -- the paper's window calibration, the Table I per-block sweep,
 the yield-loss-versus-k experiment -- is a composition of simulation stages
-into one dependency-aware task graph.  Historically each composition was a
-bespoke ~300-line builder; this module makes them **data** instead:
+into one dependency-aware task graph, written as **data**:
 
-* :class:`StageSpec` names one stage instance from the
-  :mod:`~repro.engine.registry` (with parameter overrides and optional
-  explicit ``after`` edges);
+* :class:`StageSpec` names one stage instance from the stage registry
+  (:mod:`repro.engine.registry`; the SymBIST kinds are registered by
+  :mod:`repro.studies.stages`), with parameter overrides and optional
+  explicit ``after`` edges;
 * :class:`StudySpec` is an ordered list of stage specs plus the root seed
   and study-wide shared parameters, round-trippable to/from TOML and JSON;
 * :func:`build_study` compiles a spec against the stage registry into a
   :class:`StudyPlan` -- one :class:`~repro.engine.pipeline.Pipeline` whose
-  task graph is bit-identical to the historical hand-written builders under
-  the same root seed (same task ids, same cache specs, same per-stage seed
-  derivations), on any backend;
+  task graph depends only on the spec and its root seed (task ids, cache
+  specs and per-stage seed derivations are stable), on any backend;
 * :meth:`StudyPlan.run` executes the graph and assembles a
   :class:`StudyOutcome` with named-stage accessors (``calibration``,
   ``results``, ``summaries``, ``yield_points``, ``escapes``).
 
 The three canned studies -- :data:`CALIBRATE_THEN_CAMPAIGN`,
 :data:`BLOCK_STUDY` and :data:`YIELD_LOSS_STUDY` -- are ``StudySpec``
-constants; the legacy builders in :mod:`repro.engine.pipeline` and the
-legacy CLI subcommands are thin wrappers compiling them through this path.
+constants (``repro-campaign run block-study`` runs one by name).
 ``repro-campaign run STUDY.toml`` (with ``--set stage.param=value``
 overrides) runs any spec from the shell; see ``docs/studies.md`` and
 ``examples/studies/`` for the format.
@@ -59,13 +57,23 @@ from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
+from ..adc.sar_adc import DutAdcFactory, SarAdc
 from ..circuit.errors import DutSpecError, EngineError
-from .backends import ExecutionBackend
-from .cache import ResultCache
-from .executor import CampaignReport, ProgressCallback
-from .pipeline import Pipeline, PipelineResult
-from .registry import coerce_param, stage_definition
-from .telemetry import TelemetryBus
+from ..core.calibration import calibration_from_windows
+from ..core.invariance import build_invariances
+from ..core.stimulus import SymBistStimulus
+from ..core.test_time import CheckingMode
+from ..defects.sampling import per_block_selection, variant_seed
+from ..defects.simulator import (_WORKER_STATE, CampaignResult,
+                                 _flatten_records, adc_fingerprint)
+from ..defects.universe import build_defect_universe
+from ..dut import DutSpec, default_dut
+from ..engine import (CampaignReport, ExecutionBackend, Pipeline,
+                      PipelineResult, ResultCache, TelemetryBus)
+from ..engine.executor import ProgressCallback
+from ..engine.registry import coerce_param, stage_definition
+# Registers the SymBIST stage kinds the canned specs below validate against.
+from . import stages  # noqa: F401
 
 __all__ = [
     "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES", "StageSpec",
@@ -222,7 +230,6 @@ class StudySpec:
         spec.  Raises :class:`EngineError` with the underlying
         :class:`~repro.circuit.errors.DutSpecError` message on problems.
         """
-        from ..dut import DutSpec
         try:
             base = DutSpec.from_jsonable(self.dut)
         except DutSpecError as exc:
@@ -593,7 +600,7 @@ def load_study(path: str) -> StudySpec:
 class StudyBuild:
     """Mutable state threaded through stage expansion by :func:`build_study`.
 
-    Expanders (see :mod:`repro.engine.registry`) read shared context (the
+    Expanders (see :mod:`repro.studies.stages`) read shared context (the
     stimulus, invariances, device under test, LWRS selection) from here and
     record what they produced (task ids, cache spec fragments) for
     downstream stages and the final :class:`StudyPlan`.
@@ -604,19 +611,13 @@ class StudyBuild:
                  variant: Optional[str] = None,
                  pipeline: Optional[Pipeline] = None,
                  seed: Optional[int] = None) -> None:
-        from ..adc.sar_adc import DutAdcFactory, SarAdc
-        from ..core.invariance import build_invariances
-        from ..core.stimulus import SymBistStimulus
-        from ..core.test_time import CheckingMode
-        from ..dut import default_dut
-
         self.spec = spec
         self.dut_spec = dut_spec if dut_spec is not None else default_dut()
         self.variant = variant
         #: Prefixed onto task ids (and pipeline stage names, by
         #: ``build_study``) so several variants share one task graph without
-        #: id collisions; empty on the default single-DUT path, which keeps
-        #: every historical id byte-identical.
+        #: id collisions; empty on the default single-DUT path, whose ids
+        #: carry no prefix.
         self.task_prefix = f"{variant}/" if variant else ""
         self.seed = spec.seed if seed is None else seed
         if adc_factory is not None:
@@ -631,7 +632,7 @@ class StudyBuild:
             else Pipeline(spec.name)
         # At the default DutSpec these are exactly SymBistStimulus()'s own
         # defaults, so the stimulus dataclass -- and every cache spec it
-        # feeds -- is identical to the historical construction.
+        # feeds -- is identical to a bare SymBistStimulus().
         self.stimulus = SymBistStimulus(
             input_diff=self.dut_spec.test_input_diff,
             input_cm=self.dut_spec.common_mode,
@@ -696,7 +697,7 @@ class StudyBuild:
     def annotate(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Fold the build's DUT fingerprint / variant label into one cache
         spec.  A no-op (the very same dict) for a default-DUT non-variant
-        build, so historical cache keys stay byte-identical; otherwise the
+        build, so its cache keys stay byte-identical; otherwise the
         extra keys both segregate cache entries and let the warehouse
         indexer attribute artifacts to their variant."""
         if self.dut_spec.is_default and self.variant is None:
@@ -709,11 +710,16 @@ class StudyBuild:
         return annotated
 
     def dut(self) -> Tuple[Any, str, Any]:
-        """The device under test: ``(adc, fingerprint, universe)``, built
-        once per study however many stages consult it."""
-        from .pipeline import _build_dut
+        """The device under test: ``(adc, fingerprint, universe)`` -- the
+        behavioral ADC with its defect list cleared, its cache fingerprint
+        and the defect universe built from its hierarchy; built once per
+        study however many stages consult it."""
         if self._dut is None:
-            self._dut = _build_dut(self.adc_factory)
+            adc = self.adc_factory()
+            adc.clear_defects()
+            hierarchy = adc.build_hierarchy()
+            self._dut = (adc, adc_fingerprint(adc, hierarchy),
+                         build_defect_universe(hierarchy, None))
         return self._dut
 
     def _campaign_params(self) -> Dict[str, Any]:
@@ -743,7 +749,6 @@ class StudyBuild:
     def selection(self) -> Mapping[str, Any]:
         """The per-block LWRS selection, derived from ``(root seed, block
         path)`` exactly like :meth:`DefectCampaign.run_per_block`."""
-        from ..defects.sampling import per_block_selection
         if self._selection is None:
             params = self._campaign_params()
             self._selection = per_block_selection(
@@ -790,11 +795,10 @@ def build_study(spec: StudySpec,
     Walks the spec's stages in order, resolves each against the stage
     registry (typed parameter validation with actionable errors) and calls
     its expander to add the stage's tasks and dependency edges to one
-    :class:`~repro.engine.pipeline.Pipeline`.  The compiled graph is
-    bit-identical to the historical hand-written builders for the canned
-    specs -- same task ids, same content-addressed cache specs, same
-    per-stage seed derivations from the root seed -- so results (and warm
-    cache artifacts) carry over unchanged.
+    :class:`~repro.engine.pipeline.Pipeline`.  Task ids, content-addressed
+    cache specs and per-stage seed derivations depend only on the spec and
+    its root seed, so results (and warm cache artifacts) carry over between
+    runs, backends and processes.
 
     A spec with a ``[dut]`` table compiles against that device (through a
     :class:`~repro.adc.sar_adc.DutAdcFactory`); ``[[variants]]`` fans the
@@ -803,14 +807,11 @@ def build_study(spec: StudySpec,
     per-variant root seeds derived from ``(root seed, variant label)``.
 
     ``adc_factory``/``variation_spec`` stay Python-level arguments (they
-    are code, not data); a non-importable factory disables caching exactly
-    like in the legacy builders.  An explicit ``adc_factory`` is rejected
+    are code, not data); a non-importable factory disables caching.  An
+    explicit ``adc_factory`` is rejected
     alongside a declared ``[dut]``/``[[variants]]`` section -- the factory
     is bound to one device and would silently shadow the spec's.
     """
-    from ..defects.sampling import variant_seed
-    from ..dut import DutSpec
-
     spec = spec.validated()
     base_dut = DutSpec.from_jsonable(spec.dut)
     if adc_factory is not None and (spec.dut or spec.variants):
@@ -865,8 +866,7 @@ def _expand_stages(build: StudyBuild, spec: StudySpec) -> None:
 class StudyOutcome:
     """Everything produced by one study run, with named-stage accessors.
 
-    One class for every study shape (it replaces the per-study Outcome
-    dataclasses): fields not produced by the study's stages stay at their
+    One class for every study shape: fields not produced by the study's stages stay at their
     empty defaults, e.g. ``yield_points`` is ``[]`` for a plain
     calibrate -> campaign study.
     """
@@ -924,9 +924,8 @@ class StudyOutcome:
 class StudyPlan:
     """A compiled (not yet run) study graph plus assembly metadata.
 
-    Produced by :func:`build_study`.  One class serves every study shape
-    (it replaces the per-study Plan dataclasses); fields describing stages
-    a study does not declare stay empty.
+    Produced by :func:`build_study`.  One class serves every study shape;
+    fields describing stages a study does not declare stay empty.
     """
 
     spec: StudySpec
@@ -964,12 +963,6 @@ class StudyPlan:
     #: order, all sharing :attr:`pipeline`; empty for single-DUT studies.
     variants: Dict[str, "StudyPlan"] = field(default_factory=dict)
 
-    @property
-    def base(self) -> "StudyPlan":
-        """Self; kept for compatibility with the historical
-        ``YieldLossStudyPlan.base`` layering."""
-        return self
-
     def run(self, backend: Optional[ExecutionBackend] = None,
             cache: Optional[ResultCache] = None,
             progress: Optional[ProgressCallback] = None,
@@ -983,8 +976,6 @@ class StudyPlan:
         ``cancel`` is the engine's cooperative-stop probe; when it fires,
         the outcome assembles whatever completed and
         ``outcome.pipeline.run.cancelled`` is True."""
-        from ..defects.simulator import _WORKER_STATE
-
         try:
             result = self.pipeline.run(backend=backend, cache=cache,
                                        progress=progress,
@@ -1010,9 +1001,6 @@ class StudyPlan:
     def _assemble(self, result: PipelineResult) -> StudyOutcome:
         """Collect this plan's named-stage results out of one (possibly
         shared) pipeline run."""
-        from ..core.calibration import calibration_from_windows
-        from ..defects.simulator import CampaignResult, _flatten_records
-
         outcome = StudyOutcome(spec=self.spec, pipeline=result,
                                report=result.report,
                                variant=self.variant,
@@ -1087,8 +1075,8 @@ def run_study(spec: StudySpec,
 # ============================================================ canned studies
 #
 # The paper's three workflows as StudySpec constants.  Parameters are the
-# registry defaults (== the legacy builder defaults); the legacy builders
-# and CLI subcommands compile these with per-call overrides.
+# registry defaults; callers compile them with per-call overrides
+# (``CANNED.override({...})`` or ``repro-campaign run <name> --set ...``).
 
 CALIBRATE_THEN_CAMPAIGN = StudySpec(
     name="calibrate-then-campaign",

@@ -187,9 +187,10 @@ def _escape_columns(result: Any) -> Dict[str, Any]:
 
 
 #: Per-stage-kind payload column extractors.  These read the shapes the
-#: registry's codec declarations serialize (see ``registry.py``); kinds
-#: without scalar summary columns (calibrate residual pools, windows
-#: deltas) contribute identity/footprint columns only.
+#: stage kinds' codec declarations serialize (see
+#: ``repro.studies.stages``); kinds without scalar summary columns
+#: (calibrate residual pools, windows deltas) contribute
+#: identity/footprint columns only.
 _EXTRACTORS = {
     "campaign": _campaign_columns,
     "block-summary": _summary_columns,

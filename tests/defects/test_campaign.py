@@ -151,9 +151,9 @@ class TestBlockCampaigns:
         undetected = result.undetected_defects()
         assert len(undetected) == result.n_simulated - result.n_detected
 
-    def test_run_per_block_mixes_exhaustive_and_lwrs(self, deltas, rng):
+    def test_run_per_block_mixes_exhaustive_and_lwrs(self, deltas):
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-        results = campaign.run_per_block(n_samples_per_block=20, rng=rng,
+        results = campaign.run_per_block(n_samples_per_block=20, seed=12345,
                                          exhaustive_threshold=60)
         small_block = results["vcm_generator"]
         big_block = results["subdac1"]
@@ -192,16 +192,6 @@ class TestRunPerBlockSeeding:
         alone = self._run(deltas, blocks=["vcm_generator"])
         assert _sweep_digest(alone)["vcm_generator"] == \
             _sweep_digest(full)["vcm_generator"]
-
-    def test_legacy_rng_argument_is_order_invariant(self, deltas):
-        """Passing rng= still works, and no longer threads one generator
-        through the loop: same rng state => same sweep, any block order."""
-        forward = self._run(deltas, seed=None,
-                            rng=np.random.default_rng(3), blocks=self.BLOCKS)
-        backward = self._run(deltas, seed=None,
-                             rng=np.random.default_rng(3),
-                             blocks=list(reversed(self.BLOCKS)))
-        assert _sweep_digest(forward) == _sweep_digest(backward)
 
     def test_empty_block_list_rejected(self, deltas):
         with pytest.raises(CoverageError):

@@ -17,10 +17,20 @@ class TestParser:
         exit status 2, not an argparse required-argument error."""
         assert main([]) == 2
         err = capsys.readouterr().err
-        for name in ("run", "calibrate", "campaign", "pipeline",
-                     "block-study", "yield-study", "cache"):
-            assert name in err
+        for name in ("run", "calibrate", "campaign", "cache"):
+            assert f"\n  {name} " in err
+        for removed in ("pipeline", "block-study", "yield-study"):
+            assert f"\n  {removed} " not in err
         assert "the following arguments are required" not in err
+
+    def test_removed_study_subcommands_are_rejected(self, capsys):
+        """The per-study aliases are gone: `run <canned-name>` replaces
+        them, so argparse rejects them like any unknown subcommand."""
+        for removed in ("pipeline", "block-study", "yield-study"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([removed, "--monte-carlo", "3"])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         import repro
@@ -77,30 +87,10 @@ class TestParser:
             ["campaign", "--backend", "multiprocess"]))
         assert single.name == "multiprocess" and single.workers == 1
 
-    def test_yield_study_defaults(self):
-        args = build_parser().parse_args(["yield-study"])
-        assert args.k_values == [2.0, 3.0, 4.0, 5.0, 6.0]
-        assert args.max_escape_defects == 20
-        assert args.workers == 1
-
-    def test_block_study_defaults(self):
-        args = build_parser().parse_args(["block-study"])
-        assert args.workers == 1
-        assert args.samples == 60
-        assert args.exhaustive_threshold == 120
-        assert args.blocks is None
-        assert not args.no_stop_on_detection
-        args = build_parser().parse_args(
-            ["block-study", "--backend", "multiprocess", "--workers", "2",
-             "--blocks", "sc_array", "vcm_generator"])
-        assert args.backend == "multiprocess"
-        assert args.blocks == ["sc_array", "vcm_generator"]
-
     def test_batch_size_flag(self):
-        for name in ("campaign", "pipeline", "block-study"):
-            assert build_parser().parse_args([name]).batch_size == 1
-            args = build_parser().parse_args([name, "--batch-size", "64"])
-            assert args.batch_size == 64
+        assert build_parser().parse_args(["campaign"]).batch_size == 1
+        args = build_parser().parse_args(["campaign", "--batch-size", "64"])
+        assert args.batch_size == 64
         with pytest.raises(SystemExit):  # must be a positive int
             build_parser().parse_args(["campaign", "--batch-size", "0"])
 
@@ -130,17 +120,10 @@ class TestParser:
         assert args.workers == 3
         assert args.k == 4.0
 
-    def test_pipeline_defaults(self):
-        args = build_parser().parse_args(["pipeline"])
-        assert args.workers == 1
-        assert args.samples == 60
-        assert args.cache_max_bytes is None
-        assert args.cache_max_age is None
-
     def test_cache_eviction_options(self):
         args = build_parser().parse_args(
-            ["pipeline", "--cache-dir", "c", "--cache-max-bytes", "1000",
-             "--cache-max-age", "3600"])
+            ["run", "block-study", "--cache-dir", "c",
+             "--cache-max-bytes", "1000", "--cache-max-age", "3600"])
         assert args.cache_max_bytes == 1000
         assert args.cache_max_age == 3600.0
 
@@ -214,17 +197,26 @@ class TestCampaignCommand:
         assert by_block(forward) == by_block(backward)
 
 
+def _study_overrides(**overrides):
+    """``--set`` arguments: the shared tiny-universe knobs plus extras."""
+    values = {"seed": 1, "calibrate.n_monte_carlo": 3,
+              "campaign.blocks": "vcm_generator", **overrides}
+    return [arg for key, value in values.items()
+            for arg in ("--set", f"{key}={value}")]
+
+
 class TestPipelineCommand:
     def test_matches_two_invocation_flow(self, tmp_path, capsys):
-        """`pipeline --workers 2` == `calibrate` + `campaign` run serially."""
+        """`run calibrate-then-campaign --workers 2` == `calibrate` +
+        `campaign` run serially."""
         pipe_out = tmp_path / "pipe.json"
         camp_out = tmp_path / "camp.json"
-        common = ["--monte-carlo", "3", "--blocks", "vcm_generator",
-                  "--seed", "1"]
-        assert main(["pipeline", "--workers", "2",
+        assert main(["run", "calibrate-then-campaign", "--workers", "2",
                      "--cache-dir", str(tmp_path / "cache"),
-                     "--json", str(pipe_out)] + common) == 0
-        assert main(["campaign", "--json", str(camp_out)] + common) == 0
+                     "--json", str(pipe_out)] + _study_overrides()) == 0
+        assert main(["campaign", "--json", str(camp_out),
+                     "--monte-carlo", "3", "--blocks", "vcm_generator",
+                     "--seed", "1"]) == 0
 
         pipe = json.loads(pipe_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -236,13 +228,12 @@ class TestPipelineCommand:
             assert p["n_escaped"] == c["n_escaped"]
             assert p["coverage"] == c["coverage"]
             assert p["ci_half_width"] == c["ci_half_width"]
-        assert "pipeline stage 2" in capsys.readouterr().out
+        assert "calibrate-then-campaign stage 2" in capsys.readouterr().out
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
-        argv = ["pipeline", "--monte-carlo", "3",
-                "--blocks", "vcm_generator",
+        argv = ["run", "calibrate-then-campaign",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--json", str(tmp_path / "out.json")]
+                "--json", str(tmp_path / "out.json")] + _study_overrides()
         assert main(argv) == 0
         cold = json.loads((tmp_path / "out.json").read_text())
         assert main(argv) == 0
@@ -255,16 +246,20 @@ class TestPipelineCommand:
 
 class TestBlockStudyCommand:
     def test_matches_sequential_campaign_flow(self, tmp_path, capsys):
-        """`block-study` == `campaign` (one graph vs calibrate + per-block
-        sweep) under the same seed, with the identical JSON schema."""
+        """`run block-study` == `campaign` (one graph vs calibrate +
+        per-block sweep) under the same seed, with the identical JSON
+        schema."""
         study_out = tmp_path / "study.json"
         camp_out = tmp_path / "camp.json"
-        common = ["--monte-carlo", "3", "--seed", "1", "--samples", "10",
-                  "--exhaustive-threshold", "20",
-                  "--blocks", "vcm_generator", "offset_compensation"]
-        assert main(["block-study", "--workers", "2",
-                     "--json", str(study_out)] + common) == 0
-        assert main(["campaign", "--json", str(camp_out)] + common) == 0
+        assert main(["run", "block-study", "--workers", "2",
+                     "--json", str(study_out)] + _study_overrides(
+            **{"campaign.samples": 10, "campaign.exhaustive_threshold": 20,
+               "campaign.blocks": "vcm_generator,offset_compensation"})) == 0
+        assert main(["campaign", "--json", str(camp_out),
+                     "--monte-carlo", "3", "--seed", "1", "--samples", "10",
+                     "--exhaustive-threshold", "20",
+                     "--blocks", "vcm_generator",
+                     "offset_compensation"]) == 0
 
         study = json.loads(study_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -286,13 +281,13 @@ class TestBlockStudyCommand:
     def test_batched_run_matches_unbatched(self, tmp_path):
         """`--batch-size N` changes the task decomposition, never the
         per-block numbers."""
-        common = ["block-study", "--monte-carlo", "3", "--seed", "1",
-                  "--samples", "8", "--exhaustive-threshold", "20",
-                  "--blocks", "vcm_generator", "offset_compensation"]
+        common = ["run", "block-study"] + _study_overrides(
+            **{"campaign.samples": 8, "campaign.exhaustive_threshold": 20,
+               "campaign.blocks": "vcm_generator,offset_compensation"})
         unbatched_out = tmp_path / "unbatched.json"
         batched_out = tmp_path / "batched.json"
         assert main(common + ["--json", str(unbatched_out)]) == 0
-        assert main(common + ["--batch-size", "4",
+        assert main(common + ["--set", "campaign.batch_size=4",
                               "--json", str(batched_out)]) == 0
 
         unbatched = json.loads(unbatched_out.read_text())
@@ -305,10 +300,9 @@ class TestBlockStudyCommand:
                 assert b[key] == u[key], key
 
     def test_warm_rerun_is_fully_cached(self, tmp_path):
-        argv = ["block-study", "--monte-carlo", "3",
-                "--blocks", "vcm_generator",
+        argv = ["run", "block-study",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--json", str(tmp_path / "out.json")]
+                "--json", str(tmp_path / "out.json")] + _study_overrides()
         assert main(argv) == 0
         cold = json.loads((tmp_path / "out.json").read_text())
         assert main(argv) == 0
@@ -322,17 +316,21 @@ class TestBlockStudyCommand:
 
 class TestPerBlockJsonSchema:
     def test_identical_keys_across_subcommands(self, tmp_path):
-        """campaign, pipeline, yield-study and block-study emit the same
-        per-block keys, with the engine report at the top level only."""
-        common = ["--monte-carlo", "3", "--seed", "1",
-                  "--blocks", "vcm_generator"]
+        """campaign and `run` of every canned study emit the same per-block
+        keys, with the engine report at the top level only."""
         payloads = {}
-        for name, extra in [("campaign", []), ("pipeline", []),
-                            ("block-study", []),
-                            ("yield-study", ["--k-values", "5",
-                                             "--max-escape-defects", "1"])]:
+        out = tmp_path / "campaign.json"
+        assert main(["campaign", "--json", str(out), "--monte-carlo", "3",
+                     "--seed", "1", "--blocks", "vcm_generator"]) == 0
+        payloads["campaign"] = json.loads(out.read_text())
+        for name, extra in [("calibrate-then-campaign", {}),
+                            ("block-study", {}),
+                            ("yield-loss-study",
+                             {"yield.k_values": "[5]",
+                              "escape.max_escape_defects": 1})]:
             out = tmp_path / f"{name}.json"
-            assert main([name, "--json", str(out)] + common + extra) == 0
+            assert main(["run", name, "--json", str(out)]
+                        + _study_overrides(**extra)) == 0
             payloads[name] = json.loads(out.read_text())
 
         block_keys = {name: frozenset(payload["blocks"][0])
@@ -355,16 +353,18 @@ class TestRunCommand:
     COMMON = ["--set", "calibrate.n_monte_carlo=3", "--set", "seed=1",
               "--set", "campaign.blocks=vcm_generator"]
 
-    def test_canned_study_matches_legacy_subcommand(self, tmp_path, capsys):
-        """`run block-study` == `block-study`: same JSON schema, same
-        numbers, from the same canned spec."""
+    def test_canned_study_matches_example_spec(self, tmp_path, capsys):
+        """`run block-study` == `run examples/studies/block_study.toml`:
+        same JSON schema, same numbers."""
+        import os
+        example = os.path.join(os.path.dirname(__file__), "..", "..",
+                               "examples", "studies", "block_study.toml")
         run_out = tmp_path / "run.json"
         legacy_out = tmp_path / "legacy.json"
         assert main(["run", "block-study", "--json", str(run_out)]
                     + self.COMMON) == 0
-        assert main(["block-study", "--monte-carlo", "3", "--seed", "1",
-                     "--blocks", "vcm_generator",
-                     "--json", str(legacy_out)]) == 0
+        assert main(["run", example, "--json", str(legacy_out)]
+                    + self.COMMON) == 0
         run_payload = json.loads(run_out.read_text())
         legacy_payload = json.loads(legacy_out.read_text())
         assert set(run_payload) == set(legacy_payload)
@@ -376,7 +376,7 @@ class TestRunCommand:
         assert "block-study stage 1" in capsys.readouterr().out
 
     def test_toml_spec_with_set_overrides(self, tmp_path, capsys):
-        from repro.engine import CALIBRATE_THEN_CAMPAIGN
+        from repro.studies import CALIBRATE_THEN_CAMPAIGN
         spec_path = tmp_path / "study.toml"
         spec_path.write_text(CALIBRATE_THEN_CAMPAIGN.to_toml())
         out = tmp_path / "out.json"
@@ -407,11 +407,10 @@ class TestRunCommand:
 class TestYieldStudyCommand:
     def test_end_to_end_on_multiprocess_backend(self, tmp_path, capsys):
         out = tmp_path / "study.json"
-        common = ["yield-study", "--monte-carlo", "3",
-                  "--blocks", "vcm_generator", "--k-values", "3", "5",
-                  "--max-escape-defects", "2",
+        common = ["run", "yield-loss-study",
                   "--cache-dir", str(tmp_path / "cache"),
-                  "--json", str(out)]
+                  "--json", str(out)] + _study_overrides(
+            **{"yield.k_values": "3,5", "escape.max_escape_defects": 2})
         assert main(common + ["--workers", "2", "--backend",
                               "multiprocess"]) == 0
         cold = json.loads(out.read_text())
@@ -480,11 +479,11 @@ class TestPipelineCacheSharing:
     def test_calibrate_artifacts_are_shared_with_pipeline(self, tmp_path):
         """`calibrate --cache-dir X` warms the pipeline's calibrate stage."""
         cache = str(tmp_path / "cache")
-        common = ["--monte-carlo", "3", "--seed", "1", "--cache-dir", cache]
-        assert main(["calibrate"] + common) == 0
+        assert main(["calibrate", "--monte-carlo", "3", "--seed", "1",
+                     "--cache-dir", cache]) == 0
         out = tmp_path / "out.json"
-        assert main(["pipeline", "--blocks", "vcm_generator",
-                     "--json", str(out)] + common) == 0
+        assert main(["run", "calibrate-then-campaign", "--cache-dir", cache,
+                     "--json", str(out)] + _study_overrides()) == 0
         engine = json.loads(out.read_text())["engine"]
         # 3 Monte Carlo parents replayed from the standalone calibrate run.
         assert "3 cached" in engine
@@ -495,17 +494,18 @@ class TestWarehouseCommand:
         cache_dir = str(tmp_path / "cache")
         db = str(tmp_path / "wh.sqlite")
         out = tmp_path / "blocks.json"
-        assert main(["block-study", "--monte-carlo", "3", "--seed", "3",
-                     "--samples", "4", "--blocks", "vcm_generator",
-                     "offset_compensation", "--cache-dir", cache_dir,
-                     "--warehouse", db, "--json", str(out),
-                     "--quiet"]) == 0
+        assert main(["run", "block-study", "--cache-dir", cache_dir,
+                     "--warehouse", db, "--json", str(out), "--quiet"]
+                    + _study_overrides(
+            seed=3, **{"campaign.samples": 4,
+                       "campaign.blocks":
+                           "vcm_generator,offset_compensation"})) == 0
         return cache_dir, db, json.loads(out.read_text())
 
     def test_warehouse_flag_requires_cache_dir(self, tmp_path, capsys):
-        assert main(["block-study", "--monte-carlo", "3",
-                     "--blocks", "vcm_generator",
-                     "--warehouse", str(tmp_path / "wh.sqlite")]) == 1
+        assert main(["run", "block-study",
+                     "--warehouse", str(tmp_path / "wh.sqlite")]
+                    + _study_overrides()) == 1
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_run_with_warehouse_answers_canned_query(self, tmp_path,

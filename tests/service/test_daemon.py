@@ -11,8 +11,8 @@ import os
 
 import pytest
 
-from repro.engine import StudySpec, TelemetryEvent, build_study
-from repro.engine.cli import study_payload
+from repro.engine import TelemetryEvent
+from repro.studies import StudySpec, build_study, study_payload
 from repro.service import (CampaignDaemon, STATE_CANCELLED, STATE_DONE,
                            ServiceError)
 from repro.service import client

@@ -1,4 +1,5 @@
-"""Tests for the declarative study layer (StudySpec + stage registry)."""
+"""Tests for the declarative study layer (StudySpec + the SymBIST stage
+kinds); the registry mechanism itself is tested in tests/engine."""
 
 import json
 
@@ -6,13 +7,12 @@ import numpy as np
 import pytest
 
 from repro.circuit import CalibrationError, EngineError
-from repro.engine import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
-                          CANNED_STUDIES, MultiprocessBackend,
-                          StageParam, StageSpec,
-                          StudySpec, YIELD_LOSS_STUDY, available_stages,
-                          build_study, load_study, run_study,
-                          stage_definition, yield_loss_study)
-from repro.engine.registry import coerce_param
+from repro.engine import (MultiprocessBackend, available_stages,
+                          stage_definition)
+from repro.studies import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
+                           CANNED_STUDIES, StageSpec, StudySpec,
+                           YIELD_LOSS_STUDY, build_study, load_study,
+                           run_study)
 
 MC = 3
 SEED = 1
@@ -124,7 +124,8 @@ class TestRoundTrip:
     def test_example_specs_parse_to_exactly_the_canned_specs(self):
         """The shipped examples/studies/*.toml documents (which spell the
         registry defaults out for readability) normalise to the canned
-        specs, so they can never drift from what the subcommands run.
+        specs, so they can never drift from what `run <canned-name>`
+        runs.
         Examples without a canned counterpart (the variant sweep) must
         still load and round-trip cleanly."""
         import os
@@ -260,34 +261,6 @@ class TestRegistry:
         assert campaign.param("samples").kind == "int"
         assert campaign.param("blocks").nullable
 
-    def test_unknown_stage_definition_is_actionable(self):
-        with pytest.raises(EngineError, match="registered stages"):
-            stage_definition("nope")
-
-    def test_coerce_param_kinds(self):
-        str_list = StageParam("blocks", "str_list")
-        assert coerce_param(str_list, "a,b", "here") == ("a", "b")
-        float_list = StageParam("k_values", "float_list")
-        assert coerce_param(float_list, [2, 3.5], "here") == (2.0, 3.5)
-        assert coerce_param(float_list, "2,3.5", "here") == (2.0, 3.5)
-        float_map = StageParam("block_k", "float_map")
-        assert coerce_param(float_map, {"a": 2}, "here") == {"a": 2.0}
-        assert coerce_param(StageParam("s", "str"), "x", "here") == "x"
-        with pytest.raises(EngineError, match="boolean"):
-            coerce_param(StageParam("flag", "bool"), 1, "here")
-        with pytest.raises(EngineError, match="a string"):
-            coerce_param(StageParam("s", "str"), 3, "here")
-        with pytest.raises(EngineError, match="list of numbers"):
-            coerce_param(float_list, "2,wide", "here")
-        with pytest.raises(EngineError, match="list of strings"):
-            coerce_param(str_list, [1, 2], "here")
-        with pytest.raises(EngineError, match="name -> number"):
-            coerce_param(float_map, {"a": "x"}, "here")
-        with pytest.raises(EngineError, match="non-null"):
-            coerce_param(StageParam("n", "int"), None, "here")
-        with pytest.raises(EngineError, match="unknown kind"):
-            StageParam("x", "complex")
-
 
 # ----------------------------------------------------------- bit identity
 
@@ -352,46 +325,6 @@ class TestCannedSpecBitIdentity:
             assert outcome.summaries[block]["n_detected"] == \
                 manual[block].n_detected
 
-    def test_yield_loss_spec_matches_legacy_builder(self):
-        spec = YIELD_LOSS_STUDY.override({
-            "seed": SEED, "calibrate.n_monte_carlo": MC,
-            "campaign.blocks": [BLOCK], "yield.k_values": (3.0, 5.0),
-            "escape.max_escape_defects": 3})
-        from_spec = run_study(spec)
-        legacy = yield_loss_study(
-            n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-            k_values=(3.0, 5.0), max_escape_defects=3)
-        assert from_spec.yield_points == legacy.yield_points
-        assert _record_digest(from_spec.results[BLOCK]) == \
-            _record_digest(legacy.results[BLOCK])
-        assert [(r.defect.defect_id, r.spec_violations)
-                for r in from_spec.escapes.records] == \
-            [(r.defect.defect_id, r.spec_violations)
-             for r in legacy.escapes.records]
-
-    def test_spec_compiled_graph_replays_legacy_cache_artifacts(
-            self, tmp_path):
-        """A warm cache written by the legacy builder wrapper is replayed
-        in full by the spec-compiled graph (identical cache specs)."""
-        from repro.engine import ResultCache, block_study
-
-        def cache():
-            return ResultCache(str(tmp_path / "cache"),
-                               namespace="calibration")
-
-        cold = block_study(n_monte_carlo=MC, seed=SEED, blocks=[BLOCK],
-                           samples=10, exhaustive_threshold=20,
-                           cache=cache())
-        assert cold.report.n_cache_hits == 0
-        spec = BLOCK_STUDY.override({
-            "seed": SEED, "calibrate.n_monte_carlo": MC,
-            "campaign.blocks": [BLOCK], "campaign.samples": 10,
-            "campaign.exhaustive_threshold": 20})
-        warm = run_study(spec, cache=cache())
-        assert warm.report.n_cache_hits == warm.report.n_tasks
-        assert _record_digest(warm.results[BLOCK]) == \
-            _record_digest(cold.results[BLOCK])
-
 
 class TestStudyOutcomeAccessors:
     def test_named_stage_accessors(self):
@@ -411,7 +344,6 @@ class TestStudyOutcomeAccessors:
         plan = build_study(BLOCK_STUDY.override({
             "calibrate.n_monte_carlo": MC, "campaign.blocks": [BLOCK],
             "campaign.samples": 10, "campaign.exhaustive_threshold": 20}))
-        assert plan.base is plan
         assert plan.windows_task_ids == {BLOCK: f"windows/{BLOCK}"}
         assert plan.summary_task_ids == {BLOCK: f"summary/{BLOCK}"}
         assert plan.pipeline.stage_names() == \

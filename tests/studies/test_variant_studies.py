@@ -3,8 +3,8 @@
 The study layer compiles ``[[variants]]`` into per-variant stage instances
 inside ONE task graph; these tests pin the guarantees that make that safe:
 every variant gets its own derived root seed and cache identity, the
-per-variant results are bit-identical across serial / multiprocess /
-shared-memory backends (under a randomized root seed), and a variant that
+per-variant results are bit-identical across the serial and multiprocess
+backends (under a randomized root seed), and a variant that
 changes the device (the 8-bit DUT) actually runs a different device.
 """
 
@@ -15,8 +15,9 @@ import pytest
 
 from repro.defects import variant_seed
 from repro.dut import DutSpec
-from repro.engine import (MultiprocessBackend, ResultCache, StageSpec,
-                          StudySpec, VariantSpec, build_study, run_study)
+from repro.engine import MultiprocessBackend, ResultCache
+from repro.studies import (StageSpec, StudySpec, VariantSpec, build_study,
+                           run_study)
 
 #: Randomized root seed, printed on failure via the parametrized id; one
 #: draw per test session keeps the three backend runs comparable.

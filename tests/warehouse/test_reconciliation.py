@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.engine import (MultiprocessBackend, ResultCache, SerialBackend,
-                          TelemetryBus, block_study)
-from repro.engine.cli import _block_json
+                          TelemetryBus)
+from repro.studies import BLOCK_STUDY, build_study
+from repro.studies.payload import _block_json
 from repro.warehouse import WarehouseSink, run_canned_query
 
 #: Fixed so the randomized cases are stable across runs.
@@ -56,11 +57,12 @@ def _run_case(case, backend, cache, warehouse_db, study):
                                       cache_dir=cache.cache_dir,
                                       study=study)])
     try:
-        return block_study(
-            n_monte_carlo=3, seed=case["seed"], blocks=case["blocks"],
-            samples=case["samples"],
-            exhaustive_threshold=case["threshold"],
-            batch_size=case["batch_size"],
+        return build_study(BLOCK_STUDY.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": case["blocks"],
+            "campaign.samples": case["samples"],
+            "campaign.exhaustive_threshold": case["threshold"],
+            "campaign.batch_size": case["batch_size"]})).run(
             backend=backend, cache=cache, telemetry=bus)
     finally:
         bus.close()
