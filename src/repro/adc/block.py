@@ -42,6 +42,7 @@ class AnalogBlock:
                                   sigma=sigma)
         self._parameters[name] = param
         self._sampled[name] = nominal
+        self.netlist.version.bump()
         return param
 
     def parameter(self, name: str) -> float:
@@ -53,6 +54,7 @@ class AnalogBlock:
         if name not in self._parameters:
             raise KeyError(f"block {self.name!r} has no parameter {name!r}")
         self._sampled[name] = float(value)
+        self.netlist.version.bump()
 
     def override_nominal(self, name: str, value: float) -> None:
         """Retarget a parameter's *nominal* (design) value.
@@ -68,6 +70,7 @@ class AnalogBlock:
                 f"{sorted(self._parameters)}")
         self._parameters[name].nominal = float(value)
         self._sampled[name] = float(value)
+        self.netlist.version.bump()
 
     @property
     def parameter_names(self) -> List[str]:
@@ -77,7 +80,8 @@ class AnalogBlock:
         """Current sampled values of every behavioral parameter.
 
         Used (together with the structural netlist) to fingerprint the IP
-        state for campaign result caching.
+        state for campaign result caching; every write to it bumps the
+        netlist's :attr:`~repro.circuit.netlist.Netlist.version`.
         """
         return dict(self._sampled)
 
@@ -92,11 +96,13 @@ class AnalogBlock:
         vary_netlist(self.netlist, rng, spec)
         for name, param in self._parameters.items():
             self._sampled[name] = param.sample(rng)
+        self.netlist.version.bump()
 
     def reset_variation(self) -> None:
         """Return all behavioral parameters to their nominal values."""
         for name, param in self._parameters.items():
             self._sampled[name] = param.nominal
+        self.netlist.version.bump()
 
     # ----------------------------------------------------------- defect state
     def clear_defects(self) -> None:

@@ -25,11 +25,13 @@ non-default spec.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuit.components import StateVersion
 from ..circuit.errors import SimulationError
 from ..circuit.netlist import NetlistHierarchy
 from ..circuit.variation import VariationSpec
@@ -77,7 +79,34 @@ class SarAdc:
         self.sar_control = SarControl(
             n_pulses=self.dut.cycles_per_conversion)
         self.sarcell = SarCell(dut=self.dut)
+        self._share_state_version()
         self._apply_block_params()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_version"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for key, value in state.items():
+            self.__dict__[sys.intern(key)] = value
+        self._share_state_version()
+
+    def _share_state_version(self) -> None:
+        """Count the writes of every analog block into one IP-wide version."""
+        self._version = StateVersion()
+        for blk in self.analog_blocks:
+            blk.netlist.share_version(self._version)
+
+    @property
+    def state_version(self) -> int:
+        """Monotone count of the writes to the state ``adc_fingerprint``
+        reads: defect-state writes, netlist ``add`` and behavioral parameter
+        writes, in every analog block.  An unchanged version means an
+        unchanged fingerprint (device nets and parameters are read-only and
+        the spec is frozen); a changed one means it *may* have changed.
+        Process-local: it never reaches the pickled state, and a restored
+        IP starts a fresh count."""
+        return self._version.value
 
     def _apply_block_params(self) -> None:
         """Apply the spec's per-block parameter overrides.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Dict, Optional, Set, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Set, Tuple
 
 from .errors import ComponentError
 from .units import OPEN_RESISTANCE, SHORT_RESISTANCE
@@ -63,7 +63,31 @@ TERMINALS: Dict[DeviceKind, Tuple[str, ...]] = {
 
 
 #: Tracking attributes of :class:`DefectState`, kept out of its pickled state.
-_WATCH_KEYS = frozenset({"_watcher", "_index"})
+_WATCH_KEYS = frozenset({"_watcher", "_index", "_version"})
+
+
+class StateVersion:
+    """Monotone count of the writes to one piece of tracked circuit state.
+
+    Every write that can change an IP's content fingerprint -- a defect-state
+    field or ``clear``, a netlist ``add``, a block's behavioral parameter --
+    bumps the version of the state it lands in, so a holder that recorded
+    the version can tell in O(1) that nothing was written since.  The count
+    is process-local bookkeeping, never content: it refuses to be pickled,
+    and its owners leave it out of their pickled state and re-create it on
+    restore.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def bump(self) -> None:
+        self.value += 1
+
+    def __reduce__(self):
+        raise TypeError("a StateVersion is process-local and never pickled")
 
 
 class PullDirection(str, Enum):
@@ -115,14 +139,17 @@ class DefectState:
 
     # ----------------------------------------------------------- tracking
     # A netlist that owns the state *watches* it: ``_watcher`` is the
-    # netlist's set of defective-device indices and ``_index`` the device's
-    # insertion index.  Every write that flips :attr:`is_clean` -- through
-    # the injector, ``clear``, process variation or a direct field
-    # assignment -- updates that set, so the netlist never has to scan its
-    # devices.  The set holds plain ints, so watching creates no reference
-    # cycle, and neither attribute is part of the pickled state.
+    # netlist's set of defective-device indices, ``_index`` the device's
+    # insertion index and ``_version`` the netlist's :class:`StateVersion`.
+    # Every write that flips :attr:`is_clean` -- through the injector,
+    # ``clear``, process variation or a direct field assignment -- updates
+    # that set, so the netlist never has to scan its devices, and every
+    # write at all bumps the version.  The set holds plain ints, so watching
+    # creates no reference cycle, and none of the three attributes is part
+    # of the pickled state.
     _watcher: ClassVar[Optional[Set[int]]] = None
     _index: ClassVar[int] = -1
+    _version: ClassVar[Optional[StateVersion]] = None
 
     def __setattr__(self, name: str, value: object) -> None:
         watcher = self._watcher
@@ -131,6 +158,7 @@ class DefectState:
             return
         was_clean = self.is_clean
         object.__setattr__(self, name, value)
+        self._version.bump()
         if self.is_clean != was_clean:
             if was_clean:
                 watcher.add(self._index)
@@ -142,11 +170,14 @@ class DefectState:
         """The set this state reports its transitions into, if any."""
         return self._watcher
 
-    def watch(self, watcher: Set[int], index: int) -> None:
+    def watch(self, watcher: Set[int], index: int,
+              version: StateVersion) -> None:
         """Report this state's clean/defective transitions into ``watcher``
-        under ``index``, starting with its current state."""
+        under ``index``, starting with its current state, and count every
+        write into ``version``."""
         self.__dict__["_watcher"] = watcher
         self.__dict__["_index"] = index
+        self.__dict__["_version"] = version
         if not self.is_clean:
             watcher.add(index)
 
@@ -165,13 +196,38 @@ class DefectState:
         """Reset the device to its defect-free state."""
         was_clean = self.is_clean
         DefectState.__init__(self)
-        if not was_clean and self._watcher is not None:
-            self._watcher.discard(self._index)
+        if self._watcher is not None:
+            self._version.bump()
+            if not was_clean:
+                self._watcher.discard(self._index)
 
 
-@dataclass
+class FrozenDict(dict):
+    """A ``dict`` that refuses every write after construction.
+
+    :class:`Device` holds its terminal bindings and electrical parameters in
+    these, so no write to them can slip past the state version that guards
+    cached simulation results.  Pickles (and copies) as a fresh instance.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise ComponentError("device nets and parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@dataclass(frozen=True)
 class Device:
     """A primitive device instance bound to nets inside a block netlist.
+
+    Frozen, with read-only ``nets`` and ``params``: the only mutable part of
+    a device is its :class:`DefectState`, whose writes its netlist tracks.
 
     Parameters
     ----------
@@ -189,11 +245,13 @@ class Device:
 
     name: str
     kind: DeviceKind
-    nets: Dict[str, str]
-    params: Dict[str, float] = field(default_factory=dict)
+    nets: Mapping[str, str]
+    params: Mapping[str, float] = field(default_factory=dict)
     defect: DefectState = field(default_factory=DefectState)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nets", FrozenDict(self.nets))
+        object.__setattr__(self, "params", FrozenDict(self.params))
         expected = TERMINALS[self.kind]
         missing = [t for t in expected if t not in self.nets]
         extra = [t for t in self.nets if t not in expected]
@@ -205,6 +263,20 @@ class Device:
             raise ComponentError(
                 f"device {self.name!r}: passive value must be positive, "
                 f"got {self.params.get('value')!r}")
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Plain dicts, in field order: the pickled bytes (the material of
+        # ``adc_fingerprint``) stay those of an unfrozen device.
+        state = dict(self.__dict__)
+        state["nets"] = dict(self.nets)
+        state["params"] = dict(self.params)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for key, value in state.items():
+            self.__dict__[sys.intern(key)] = value
+        self.__dict__["nets"] = FrozenDict(self.nets)
+        self.__dict__["params"] = FrozenDict(self.params)
 
     # ------------------------------------------------------------------ value
     @property

@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .components import (Device, DeviceKind, capacitor, diode, nmos, npn, pmos,
-                         pnp, resistor, switch)
+from .components import (Device, DeviceKind, StateVersion, capacitor, diode,
+                         nmos, npn, pmos, pnp, resistor, switch)
 from .errors import NetlistError
 
 
@@ -41,19 +41,37 @@ class Netlist:
         #: Insertion indices of the devices whose defect state is not clean,
         #: kept current by the states themselves (``DefectState.watch``).
         self._defective: Set[int] = set()
+        #: Count of the writes to this netlist and its devices' defect states.
+        self._version = StateVersion()
 
     def __getstate__(self) -> Dict[str, object]:
-        # The tracked set is derived data: leaving it out keeps the pickled
-        # bytes (and so ``adc_fingerprint``) those of the device list alone.
+        # The tracked set and the version are bookkeeping: leaving them out
+        # keeps the pickled bytes (and so ``adc_fingerprint``) those of the
+        # device list alone.
         return {key: value for key, value in self.__dict__.items()
-                if key != "_defective"}
+                if key not in ("_defective", "_version")}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         for key, value in state.items():
             self.__dict__[sys.intern(key)] = value
         self._defective = set()
+        self.share_version(StateVersion())
+
+    # --------------------------------------------------------------- version
+    @property
+    def version(self) -> StateVersion:
+        """The counter every write to this netlist's state bumps: ``add``
+        and any write to a device's defect state.  The owning block bumps it
+        for its behavioral parameters, and an IP shares one across all its
+        blocks (:meth:`share_version`)."""
+        return self._version
+
+    def share_version(self, version: StateVersion) -> None:
+        """Count this netlist's writes into ``version`` from now on."""
+        self._version = version
         for index, device in enumerate(self._devices.values()):
-            device.defect.watch(self._defective, index)
+            device.defect.watch(self._defective, index, version)
+        version.bump()
 
     # ------------------------------------------------------------------ build
     def add(self, device: Device) -> Device:
@@ -65,8 +83,10 @@ class Netlist:
             raise NetlistError(
                 f"netlist {self.name!r}: device {device.name!r} already "
                 "belongs to a netlist")
-        device.defect.watch(self._defective, len(self._devices))
+        device.defect.watch(self._defective, len(self._devices),
+                            self._version)
         self._devices[device.name] = device
+        self._version.bump()
         return device
 
     def add_resistor(self, name: str, p: str, n: str, value: float) -> Device:

@@ -358,25 +358,35 @@ class DefectCampaign:
         self.likelihood_model = likelihood_model
         self.universe = build_defect_universe(self.hierarchy, likelihood_model)
         self.injector = DefectInjector(self.hierarchy)
-        #: Batched-evaluation state, keyed by ADC fingerprint so a golden
-        #: trace is never reused across different IP states.
-        self._batch_evaluators: Dict[str, BatchedDefectEvaluator] = {}
+        #: Golden-trace evaluator of the clean ADC, and the ADC state version
+        #: (``SarAdc.state_version``) at which its trace was last proven
+        #: current.
+        self._evaluator: Optional[BatchedDefectEvaluator] = None
+        self._evaluator_version = -1
 
     def _adc_fingerprint(self) -> str:
         return adc_fingerprint(self.adc, self.hierarchy)
 
     def _batch_evaluator(self) -> BatchedDefectEvaluator:
-        """The golden-trace evaluator for the ADC's current (clean) state."""
-        fingerprint = self._adc_fingerprint()
-        evaluator = self._batch_evaluators.get(fingerprint)
-        if evaluator is None:
-            evaluator = BatchedDefectEvaluator(
-                adc=self.adc, stimulus=self.stimulus, deltas=self.deltas,
-                mode=self.mode, stop_on_detection=self.stop_on_detection,
-                fingerprint=fingerprint)
-            self._batch_evaluators.clear()
-            self._batch_evaluators[fingerprint] = evaluator
-        elif evaluator.deltas != self.deltas:
+        """The golden-trace evaluator for the ADC's current (clean) state.
+
+        O(1) while the ADC's state version is the one the trace was last
+        proven current at.  After any tracked write, the full fingerprint
+        decides: a changed fingerprint rebuilds the trace, an unchanged one
+        (say, a parameter written and then restored) re-stamps it.
+        """
+        evaluator = self._evaluator
+        version = self.adc.state_version
+        if evaluator is None or version != self._evaluator_version:
+            fingerprint = self._adc_fingerprint()
+            if evaluator is None or evaluator.golden.fingerprint != fingerprint:
+                evaluator = BatchedDefectEvaluator(
+                    adc=self.adc, stimulus=self.stimulus, deltas=self.deltas,
+                    mode=self.mode, stop_on_detection=self.stop_on_detection,
+                    fingerprint=fingerprint)
+                self._evaluator = evaluator
+            self._evaluator_version = version
+        if evaluator.deltas != self.deltas:
             # Block-study graphs refresh the campaign's delta table per task
             # (per-block k overrides); the golden trace is window-independent.
             evaluator.set_deltas(self.deltas)
@@ -472,6 +482,11 @@ class DefectCampaign:
                 cycles_run=cycles_run,
                 modeled_sim_time=cycles_run * self.seconds_per_cycle,
                 wall_time=wall))
+        # The inject/remove round trips above bumped the ADC's state version
+        # but left the clean ADC -- the golden trace's input -- as it was
+        # (``inject`` needs a clean device, ``remove`` resets it to the
+        # default state), so the next call needs no fingerprint.
+        self._evaluator_version = self.adc.state_version
         return records
 
     def run(self, plan: Optional[SamplingPlan] = None,
@@ -519,8 +534,9 @@ class DefectCampaign:
         plan = plan or SamplingPlan(exhaustive=True)
         universe = self.universe
         if blocks is not None:
-            selected = [d for d in universe.defects if d.block_path in set(blocks)]
-            universe = DefectUniverse(selected)
+            wanted = set(blocks)
+            universe = DefectUniverse(
+                [d for d in universe.defects if d.block_path in wanted])
         if len(universe) == 0:
             raise CoverageError("no defects to simulate for the requested blocks")
         defects = select_defects(universe, plan, rng)

@@ -9,7 +9,10 @@ Three pillars of the batching equivalence guarantee:
 * the cached defect-free golden trace is bit-identical to a full controller
   re-simulation for every stimulus kind the campaigns use;
 * a defect that is not provably local to one pipeline stage falls back to
-  the full simulation and produces the exact same record.
+  the full simulation and produces the exact same record;
+* the golden trace is reused on an O(1) ADC state version, and every write
+  path the fingerprint sees moves that version, so a mutated ADC is never
+  evaluated against a stale trace.
 
 Since every campaign -- batched or not -- evaluates defects through the
 golden trace, the reference these tests compare against is always an
@@ -17,18 +20,22 @@ explicit full controller re-simulation (:func:`_full_resimulation`), never
 the campaign's own per-defect path.
 """
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adc import SarAdc
-from repro.circuit.errors import CoverageError
+from repro.circuit.errors import ComponentError, CoverageError
 from repro.core import build_invariances, run_symbist
 from repro.core.stimulus import SymBistStimulus
 from repro.core.test_time import CheckingMode
 from repro.defects import (DefectCampaign, LOCAL_STAGE, STAGE_DOWNSTREAM,
                            batch_seed_span, batch_spans, build_golden_trace)
-from repro.defects import batching
+from repro.defects import batching, simulator
 from repro.dut import DutSpec
 
 BLOCKS = ("bandgap", "subdac1", "sc_array", "rs_latch", "vcm_generator")
@@ -293,3 +300,174 @@ class TestSinglePerDefectPath:
         for defect in defects:
             campaign.simulate_defect(defect)
         assert len(builds) == 1
+
+
+# ------------------------------------------------------- state-version guard
+def _bandgap_resistor(adc):
+    return adc.block("bandgap").netlist.device("r1")
+
+
+def _set_scale(scale):
+    def write(adc):
+        _bandgap_resistor(adc).defect.value_scale = scale
+    return write
+
+
+def _shift_parameter(block, name, shift):
+    def write(adc):
+        target = adc.block(block)
+        target.set_parameter(name, target.parameter(name) + shift)
+    return write
+
+
+def _override_nominal(adc):
+    adc.block("bandgap").override_nominal("vbg_trim", 3e-3)
+
+
+def _sample_variation(adc):
+    # A block without passives: only the behavioral draw can move the version.
+    adc.block("subdac1").sample_variation(np.random.default_rng(1))
+
+
+def _reset_variation(adc):
+    adc.block("subdac1").reset_variation()
+
+
+def _clear(adc):
+    _bandgap_resistor(adc).defect.clear()
+
+
+def _netlist_add(adc):
+    adc.block("bandgap").netlist.add_resistor("r_extra", "x", "y", 1e3)
+
+
+#: Every write path ``adc_fingerprint`` sees, as ``(prepare, mutate)``: the
+#: golden trace is built after ``prepare``, and ``mutate`` then runs between
+#: two ``simulate_defect`` calls.
+MUTATIONS = {
+    "defect-field": (None, _set_scale(1.2)),
+    "value-scale-stays-varied": (_set_scale(1.1), _set_scale(1.2)),
+    "clear": (_set_scale(1.2), _clear),
+    "set_parameter": (None, _shift_parameter("bandgap", "vbe", 5e-3)),
+    "override_nominal": (None, _override_nominal),
+    "sample_variation": (None, _sample_variation),
+    "reset_variation": (_sample_variation, _reset_variation),
+    "netlist-add": (None, _netlist_add),
+}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _campaign(deltas, spawned):
+    """A campaign on a fresh ADC, or -- like a spawn or socket worker -- on
+    a pickle round trip of one."""
+    adc = SarAdc()
+    if spawned:
+        adc = pickle.loads(pickle.dumps(adc))
+    return DefectCampaign(adc=adc, deltas=deltas)
+
+
+def _sc_array_defect(campaign):
+    return campaign.universe.by_block("sc_array").defects[0]
+
+
+class TestStateVersionGuard:
+    @pytest.mark.parametrize("spawned", [False, True],
+                             ids=["live", "pickled"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_write_path_rebuilds_the_golden_trace(
+            self, deltas, monkeypatch, mutation, spawned):
+        prepare, mutate = MUTATIONS[mutation]
+        builds = _count_calls(monkeypatch, batching, "build_golden_trace")
+        campaign = _campaign(deltas, spawned)
+        if prepare is not None:
+            prepare(campaign.adc)
+        defect = _sc_array_defect(campaign)
+        campaign.simulate_defect(defect)
+        before = campaign._evaluator.golden.fingerprint
+        version = campaign.adc.state_version
+
+        mutate(campaign.adc)
+        assert campaign.adc.state_version > version
+        record = campaign.simulate_defect(defect)
+
+        assert _record_fields(record) == _full_resimulation(campaign, defect)
+        assert len(builds) == 2
+        after = simulator.adc_fingerprint(campaign.adc, campaign.hierarchy)
+        assert campaign._evaluator.golden.fingerprint == after != before
+
+    def test_device_nets_and_parameters_cannot_be_written(self, deltas):
+        campaign = _campaign(deltas, spawned=False)
+        device = _bandgap_resistor(campaign.adc)
+        version = campaign.adc.state_version
+        with pytest.raises(ComponentError):
+            device.params["value"] = 1.0
+        with pytest.raises(ComponentError):
+            device.params.update(value=1.0)
+        with pytest.raises(ComponentError):
+            device.nets["p"] = "elsewhere"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            device.params = {"value": 1.0}
+        assert campaign.adc.state_version == version
+
+    def test_restored_write_keeps_the_golden_trace(self, deltas, monkeypatch):
+        """A write undone before the next task moves the version, but the
+        fingerprint fallback finds the content unchanged."""
+        builds = _count_calls(monkeypatch, batching, "build_golden_trace")
+        campaign = _campaign(deltas, spawned=False)
+        defect = _sc_array_defect(campaign)
+        campaign.simulate_defect(defect)
+        fingerprints = _count_calls(monkeypatch, simulator, "adc_fingerprint")
+
+        bandgap = campaign.adc.block("bandgap")
+        vbe = bandgap.parameter("vbe")
+        bandgap.set_parameter("vbe", vbe + 5e-3)
+        bandgap.set_parameter("vbe", vbe)
+        record = campaign.simulate_defect(defect)
+
+        assert len(fingerprints) == 1
+        assert len(builds) == 1
+        assert _record_fields(record) == _full_resimulation(campaign, defect)
+
+    def test_campaign_fingerprints_only_before_its_first_task(
+            self, deltas, monkeypatch):
+        """Inject/remove round trips leave the clean ADC as it was: after
+        the first task, no task of a plain run pays a fingerprint."""
+        campaign = _campaign(deltas, spawned=False)
+        fingerprints = _count_calls(monkeypatch, simulator, "adc_fingerprint")
+        after_first = []
+
+        def progress(index, total, record):
+            if not after_first:
+                after_first.append(len(fingerprints))
+
+        result = campaign.run(blocks=["vcm_generator", "rs_latch"],
+                              progress=progress)
+        assert result.n_simulated > 50
+        assert after_first == [len(fingerprints)] == [2]
+
+    def test_pickled_adc_tracks_every_block(self, deltas):
+        """A campaign's ADC after a pickle round trip -- what a spawn or
+        socket worker holds -- counts the writes of every block into its
+        one version."""
+        campaign = _campaign(deltas, spawned=False)
+        campaign.simulate_defect(_sc_array_defect(campaign))
+        adc = pickle.loads(pickle.dumps(campaign.adc))
+        for block in adc.analog_blocks:
+            version = adc.state_version
+            block.netlist.devices[0].defect.short_resistance = 2.0
+            assert adc.state_version > version, block.block_path
+            block.clear_defects()
+            version = adc.state_version
+            block.reset_variation()
+            assert adc.state_version > version, block.block_path

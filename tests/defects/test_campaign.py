@@ -35,6 +35,22 @@ class TestAdcFingerprintPins:
 
     def test_nominal_adc(self):
         assert self.fingerprint(SarAdc()) == "00b81ac4d99949a4"
+        assert adc_fingerprint(SarAdc(), SarAdc().build_hierarchy()) == \
+            "00b81ac4d99949a4"
+
+    def test_state_version_never_reaches_the_key(self, deltas):
+        """The O(1) state version that guards the golden trace is
+        bookkeeping: a nominal ADC that went through many tracked writes
+        and a campaign keys like a fresh one."""
+        campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
+        bandgap = campaign.adc.block("bandgap")
+        vbe = bandgap.parameter("vbe")
+        bandgap.set_parameter("vbe", vbe + 1e-3)
+        bandgap.set_parameter("vbe", vbe)
+        campaign.run(blocks=["rs_latch"])
+        assert campaign.adc.state_version > 0
+        assert self.fingerprint(campaign.adc) == "00b81ac4d99949a4"
+        assert campaign._adc_fingerprint() == "00b81ac4d99949a4"
 
     def test_varied_adc(self):
         adc = SarAdc()
