@@ -1,13 +1,13 @@
 """Engine scaling -- campaign throughput at workers=1 versus workers=N.
 
-Measures the defect-campaign throughput of the execution engine
-(:mod:`repro.engine`) on the serial backend and on a process pool, plus the
-warm-cache replay rate; compares the batched golden-trace campaign against
-full controller re-simulation of the same defects; compares the one-graph
-per-block sweep (the block-study shape) against the historical
-one-engine-run-per-block loop; checks that compiling the declarative block-study spec (``build_study``)
-costs under 1% of running it; checks that the pool's per-task payload
-excludes the campaign context; and checks that the pool stream's per-task
+Measures the defect-campaign throughput of a study (:mod:`repro.studies`
+on the :mod:`repro.engine` backends) on the serial backend and on a process
+pool, plus the warm-cache replay rate; compares the batched golden-trace
+campaign against full controller re-simulation of the same defects;
+compares the one-graph per-block sweep (the block-study shape) against the
+plain one-run-per-block loop; checks that compiling the declarative
+block-study spec (``build_study``) costs under 1% of running it; checks
+that the pool's per-task payload excludes the campaign context; and checks that the pool stream's per-task
 dispatch cost stays flat as the task graph widens.  On multi-core runners
 the pool should approach linear speedup (the per-defect simulations are
 independent, exactly like the per-defect SPICE jobs an industrial
@@ -28,56 +28,71 @@ from repro.core import format_table
 from repro.defects import DefectCampaign, SamplingPlan
 from repro.engine import (CampaignEngine, MultiprocessBackend, ResultCache,
                           SerialBackend, Task, TaskGraph)
+from repro.studies import CALIBRATE_THEN_CAMPAIGN, build_study
 
 BENCHMARK_SEED = 20200309
 
 #: LWRS budget of the benchmark campaign (>=100 defects, like the paper's
-#: whole-IP row).
+#: whole-IP row): 12 LWRS draws in each of the 10 A/M-S blocks.
 N_DEFECTS = 120
+SAMPLES_PER_BLOCK = 12
 
 #: Pool width of the parallel case.
 N_WORKERS = min(4, os.cpu_count() or 1)
 
 
-def _run(campaign, backend, cache=None, batch_size=1):
-    rng = np.random.default_rng(BENCHMARK_SEED)
-    return campaign.run(SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                        rng=rng, backend=backend, cache=cache,
-                        batch_size=batch_size)
+def _run(backend, cache=None, batch_size=1, telemetry=None):
+    """The benchmark campaign as a study: a 3-sample window calibration,
+    then :data:`N_DEFECTS` LWRS defects across the whole IP."""
+    plan = build_study(CALIBRATE_THEN_CAMPAIGN.override({
+        "seed": BENCHMARK_SEED, "calibrate.n_monte_carlo": 3,
+        "campaign.samples": SAMPLES_PER_BLOCK,
+        "campaign.exhaustive_threshold": 0,
+        "campaign.batch_size": batch_size}))
+    return plan.run(backend=backend, cache=cache, telemetry=telemetry)
 
 
-def _coverage_key(result):
+def _records(outcome):
+    return [record for result in outcome.results.values()
+            for record in result.records]
+
+
+def _coverage_key(outcome):
     return [(r.defect.defect_id, r.detected, r.detection_cycle)
-            for r in result.records]
+            for r in _records(outcome)]
 
 
-def test_engine_scaling(benchmark, deltas, tmp_path):
+def _campaign_wall(outcome):
+    """Execution time of a serial study's campaign stage."""
+    return outcome.report.stage_durations["campaign"]
+
+
+def test_engine_scaling(benchmark, tmp_path):
     """Throughput at workers=1 vs workers=N, plus warm-cache replay."""
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-
-    serial = benchmark.pedantic(_run, args=(campaign, SerialBackend()),
+    serial = benchmark.pedantic(_run, args=(SerialBackend(),),
                                 rounds=1, iterations=1)
-    rows = [["serial", 1, serial.engine_report.n_executed,
-             f"{serial.engine_report.wall_time:.2f}",
-             f"{serial.engine_report.tasks_per_second:.1f}"]]
+    assert len(_records(serial)) == N_DEFECTS
+    rows = [["serial", 1, serial.report.n_executed,
+             f"{serial.report.wall_time:.2f}",
+             f"{serial.report.tasks_per_second:.1f}"]]
 
     if N_WORKERS > 1:
-        parallel = _run(campaign, MultiprocessBackend(max_workers=N_WORKERS))
+        parallel = _run(MultiprocessBackend(max_workers=N_WORKERS))
         assert _coverage_key(parallel) == _coverage_key(serial)
         rows.append(["multiprocess", N_WORKERS,
-                     parallel.engine_report.n_executed,
-                     f"{parallel.engine_report.wall_time:.2f}",
-                     f"{parallel.engine_report.tasks_per_second:.1f}"])
+                     parallel.report.n_executed,
+                     f"{parallel.report.wall_time:.2f}",
+                     f"{parallel.report.tasks_per_second:.1f}"])
 
     cache = ResultCache(str(tmp_path / "cache"), namespace="defects")
-    cold = _run(campaign, SerialBackend(), cache=cache)
-    warm = _run(campaign, SerialBackend(), cache=cache)
+    cold = _run(SerialBackend(), cache=cache)
+    warm = _run(SerialBackend(), cache=cache)
     assert _coverage_key(warm) == _coverage_key(serial)
-    assert warm.engine_report.n_cache_hits == warm.engine_report.n_tasks
-    assert warm.engine_report.wall_time < 0.1 * cold.engine_report.wall_time
-    rows.append(["serial + warm cache", 1, warm.engine_report.n_executed,
-                 f"{warm.engine_report.wall_time:.2f}",
-                 f"{warm.engine_report.tasks_per_second:.1f}"])
+    assert warm.report.n_cache_hits == warm.report.n_tasks
+    assert warm.report.wall_time < 0.1 * cold.report.wall_time
+    rows.append(["serial + warm cache", 1, warm.report.n_executed,
+                 f"{warm.report.wall_time:.2f}",
+                 f"{warm.report.tasks_per_second:.1f}"])
 
     print()
     print(format_table(
@@ -88,12 +103,13 @@ def test_engine_scaling(benchmark, deltas, tmp_path):
         pytest.skip("single-CPU runner: parallel scaling not measurable")
 
 
-#: Batch size of the batched-campaign comparison; chosen so the 120-defect
-#: benchmark campaign collapses into two tasks.
+#: Batch size of the batched-campaign comparison; batches never span
+#: blocks, so the 120-defect benchmark campaign collapses into one task per
+#: block.
 BATCH_SIZE = 64
 
 
-def test_batched_campaign_speedup(deltas):
+def test_batched_campaign_speedup():
     """batch_size=64 on the golden path vs full re-simulation: >=5x,
     bit-identical.
 
@@ -102,41 +118,45 @@ def test_batched_campaign_speedup(deltas):
     (plus the downstream codes whose inputs actually changed), whatever its
     batch size; batch size only sets task granularity.  The reference is
     therefore the explicit full controller re-simulation
-    (``DefectCampaign._simulate_full``) of the same defects: the records
-    must match bit for bit, and the batched golden path must be at least
-    5x faster.  Batch 1 vs batch 64 is printed as an ungated row.
+    (``DefectCampaign._simulate_full``) of the same defects under the
+    study's windows: the records must match bit for bit, and the batched
+    golden path (the campaign stage's execution time) must be at least 5x
+    faster.  Batch 1 vs batch 64 is printed as an ungated row.
     """
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     rounds = 2
 
     # Rounds interleave the three paths, so a drift in machine speed
     # between them does not bias the ratios; each path keeps its minimum.
     walls = {"unbatched": [], "batched": [], "full": []}
     for _ in range(rounds):
-        unbatched = _run(campaign, SerialBackend(), batch_size=1)
-        walls["unbatched"].append(unbatched.engine_report.wall_time)
-        batched = _run(campaign, SerialBackend(), batch_size=BATCH_SIZE)
-        walls["batched"].append(batched.engine_report.wall_time)
+        unbatched = _run(SerialBackend(), batch_size=1)
+        walls["unbatched"].append(_campaign_wall(unbatched))
+        batched = _run(SerialBackend(), batch_size=BATCH_SIZE)
+        walls["batched"].append(_campaign_wall(batched))
+        campaign = DefectCampaign(adc=SarAdc(),
+                                  deltas=batched.calibration.deltas)
         start = time.perf_counter()
         full = [campaign._simulate_full(record.defect)
-                for record in batched.records]
+                for record in _records(batched)]
         walls["full"].append(time.perf_counter() - start)
     unbatched_wall, batched_wall, full_wall = (
         min(walls[path]) for path in ("unbatched", "batched", "full"))
 
     assert _coverage_key(batched) == _coverage_key(unbatched)
     assert [(r.detected, r.detecting_invariance, r.detection_cycle,
-             r.cycles_run) for r in batched.records] == full
+             r.cycles_run) for r in _records(batched)] == full
     speedup = full_wall / batched_wall
     print()
     print(format_table(
         ["path", "#tasks", "wall (s)", "defects/s", "speedup"],
         [["full re-simulation", "-", f"{full_wall:.2f}",
           f"{N_DEFECTS / full_wall:.1f}", "-"],
-         ["golden, batch 1 (ungated)", unbatched.engine_report.n_tasks,
+         ["golden, batch 1 (ungated)",
+          unbatched.report.stage_counts["campaign"],
           f"{unbatched_wall:.2f}", f"{N_DEFECTS / unbatched_wall:.1f}",
           f"{full_wall / unbatched_wall:.1f}x"],
-         [f"golden, batch {BATCH_SIZE}", batched.engine_report.n_tasks,
+         [f"golden, batch {BATCH_SIZE}",
+          batched.report.stage_counts["campaign"],
           f"{batched_wall:.2f}", f"{N_DEFECTS / batched_wall:.1f}",
           f"{speedup:.1f}x"]],
         title=f"batched campaign ({N_DEFECTS} LWRS defects, serial, "
@@ -150,56 +170,61 @@ BLOCK_SAMPLES = 60
 BLOCK_EXHAUSTIVE_THRESHOLD = 120
 
 
-def test_block_study_beats_sequential_per_block_loop(deltas):
-    """One-graph per-block sweep vs the historical one-run-per-block loop.
+def test_block_study_beats_sequential_per_block_loop():
+    """One-graph per-block sweep vs the plain one-run-per-block loop.
 
-    The sequential loop launches a separate serial engine run per block, so
-    a 3-defect block's run cannot overlap a 300-defect block's; the
+    The sequential loop runs one block's campaign after another, so a
+    3-defect block's run cannot overlap a 300-defect block's; the
     block-study shape submits every block's tasks into one graph and keeps
-    the pool saturated.  Same defects, same records -- the one-graph pooled
-    sweep must finish faster than the summed sequential runs at >=2 workers.
+    the pool saturated.  Same windows, same defects, same records -- the
+    one-graph pooled study (its calibration included) must finish faster
+    than the summed sequential runs at >=2 workers.
     """
     if N_WORKERS < 2:
         pytest.skip("single-CPU runner: pool utilization not measurable")
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-    blocks = campaign.universe.block_paths()
-
-    # The historical shape: one serial engine run per block (per-block seeds
-    # match run_per_block's, so both flows simulate identical defects).
     from repro.defects import block_seed_sequence
+    from repro.studies import BLOCK_STUDY
+
+    pooled = build_study(BLOCK_STUDY.override({
+        "seed": BENCHMARK_SEED, "calibrate.n_monte_carlo": 3,
+        "campaign.samples": BLOCK_SAMPLES,
+        "campaign.exhaustive_threshold": BLOCK_EXHAUSTIVE_THRESHOLD})).run(
+        backend=MultiprocessBackend(max_workers=N_WORKERS))
+    report = pooled.report
+    n_defects = report.stage_items["campaign"]
+
+    # The sequential shape: one plain serial run per block with the study's
+    # windows (per-block seeds match the study's, so both flows simulate
+    # identical defects).
+    campaign = DefectCampaign(adc=SarAdc(),
+                              deltas=pooled.calibration.deltas)
+    blocks = campaign.universe.block_paths()
     sequential_wall = 0.0
     sequential_key = []
-    n_tasks = 0
     for block in blocks:
         size = len(campaign.universe.by_block(block))
         plan = SamplingPlan(exhaustive=size <= BLOCK_EXHAUSTIVE_THRESHOLD,
                             n_samples=BLOCK_SAMPLES)
         rng = np.random.default_rng(
             block_seed_sequence(BENCHMARK_SEED, block))
-        result = campaign.run(plan, blocks=[block], rng=rng,
-                              backend=SerialBackend())
-        sequential_wall += result.engine_report.wall_time
-        sequential_key.extend(_coverage_key(result))
-        n_tasks += result.n_simulated
-
-    pooled = campaign.run_per_block(
-        n_samples_per_block=BLOCK_SAMPLES, seed=BENCHMARK_SEED,
-        exhaustive_threshold=BLOCK_EXHAUSTIVE_THRESHOLD,
-        backend=MultiprocessBackend(max_workers=N_WORKERS))
-    pooled_key = [entry for block in blocks
-                  for entry in _coverage_key(pooled[block])]
-    report = next(iter(pooled.values())).engine_report
+        start = time.perf_counter()
+        result = campaign.run(plan, blocks=[block], rng=rng)
+        sequential_wall += time.perf_counter() - start
+        sequential_key.extend(
+            (r.defect.defect_id, r.detected, r.detection_cycle)
+            for r in result.records)
 
     print()
     print(format_table(
-        ["sweep shape", "workers", "#tasks", "wall (s)", "defects/s"],
-        [["sequential per-block loop", 1, n_tasks,
-          f"{sequential_wall:.2f}", f"{n_tasks / sequential_wall:.1f}"],
-         ["block-study (one graph)", N_WORKERS, report.n_tasks,
-          f"{report.wall_time:.2f}", f"{report.tasks_per_second:.1f}"]],
+        ["sweep shape", "workers", "#defects", "wall (s)", "defects/s"],
+        [["sequential per-block loop", 1, len(sequential_key),
+          f"{sequential_wall:.2f}",
+          f"{len(sequential_key) / sequential_wall:.1f}"],
+         ["block-study (one graph)", N_WORKERS, n_defects,
+          f"{report.wall_time:.2f}", f"{n_defects / report.wall_time:.1f}"]],
         title=f"per-block sweep: one graph vs {len(blocks)} sequential runs"))
 
-    assert pooled_key == sequential_key  # same defects, same records
+    assert _coverage_key(pooled) == sequential_key  # same defects, records
     assert report.wall_time < sequential_wall
 
 
@@ -236,7 +261,8 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
     graph, so one variant's campaign tasks fill the gaps of another's
     barriers.  Same derived seeds, same devices -- per-variant records
     must match bit for bit and the one-graph sweep must finish faster
-    than the summed sequential runs at >=2 workers.
+    than the summed sequential runs at >=2 workers, each shape timed as
+    the minimum over interleaved rounds.
     """
     if N_WORKERS < 2:
         pytest.skip("single-CPU runner: pool utilization not measurable")
@@ -244,36 +270,48 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
     from repro.studies import StudySpec, VariantSpec, build_study
 
     def digest(outcome):
-        return {block: _coverage_key(outcome.results[block])
+        return {block: [(r.defect.defect_id, r.detected, r.detection_cycle)
+                        for r in outcome.results[block].records]
                 for block in SWEEP_BLOCKS}
-
-    # Three sequential single-variant runs, each with its own pool (what
-    # three `repro-campaign run` invocations would do).
-    sequential_wall = 0.0
-    n_sequential_tasks = 0
-    sequential = {}
-    for name, dut in SWEEP_VARIANTS:
-        spec = StudySpec(name=f"single-{name}",
-                         seed=variant_seed(BENCHMARK_SEED, name),
-                         stages=_sweep_stages(), dut=dut).validated()
-        outcome = build_study(spec).run(
-            backend=MultiprocessBackend(max_workers=N_WORKERS))
-        assert outcome.ok
-        sequential_wall += outcome.report.wall_time
-        n_sequential_tasks += outcome.report.n_tasks
-        sequential[name] = digest(outcome)
 
     sweep_spec = StudySpec(
         name="variant-sweep-bench", seed=BENCHMARK_SEED,
         stages=_sweep_stages(),
         variants=tuple(VariantSpec(name=name, dut=dut)
                        for name, dut in SWEEP_VARIANTS)).validated()
-    swept = build_study(sweep_spec).run(
-        backend=MultiprocessBackend(max_workers=N_WORKERS))
-    assert swept.ok
+    single_specs = {name: StudySpec(name=f"single-{name}",
+                                    seed=variant_seed(BENCHMARK_SEED, name),
+                                    stages=_sweep_stages(),
+                                    dut=dut).validated()
+                    for name, dut in SWEEP_VARIANTS}
 
-    for name, _ in SWEEP_VARIANTS:
-        assert digest(swept.variants[name]) == sequential[name]
+    # Rounds interleave the two shapes, so a drift in machine speed between
+    # them does not bias the comparison; each shape keeps its minimum.
+    rounds = 3
+    walls = {"sequential": [], "sweep": []}
+    for _ in range(rounds):
+        # Three sequential single-variant runs, each with its own pool
+        # (what three `repro-campaign run` invocations would do).
+        sequential_wall = 0.0
+        n_sequential_tasks = 0
+        sequential = {}
+        for name, spec in single_specs.items():
+            outcome = build_study(spec).run(
+                backend=MultiprocessBackend(max_workers=N_WORKERS))
+            assert outcome.ok
+            sequential_wall += outcome.report.wall_time
+            n_sequential_tasks += outcome.report.n_tasks
+            sequential[name] = digest(outcome)
+        walls["sequential"].append(sequential_wall)
+
+        swept = build_study(sweep_spec).run(
+            backend=MultiprocessBackend(max_workers=N_WORKERS))
+        assert swept.ok
+        walls["sweep"].append(swept.report.wall_time)
+        for name, _ in SWEEP_VARIANTS:
+            assert digest(swept.variants[name]) == sequential[name]
+    sequential_wall, sweep_wall = (min(walls["sequential"]),
+                                   min(walls["sweep"]))
 
     print()
     print(format_table(
@@ -281,11 +319,12 @@ def test_variant_sweep_beats_sequential_single_variant_runs():
         [[f"{len(SWEEP_VARIANTS)} sequential single-variant runs",
           N_WORKERS, n_sequential_tasks, f"{sequential_wall:.2f}"],
          ["variant sweep (one graph)", N_WORKERS,
-          swept.report.n_tasks, f"{swept.report.wall_time:.2f}"]],
+          swept.report.n_tasks, f"{sweep_wall:.2f}"]],
         title=f"DUT corner sweep: one graph vs "
-              f"{len(SWEEP_VARIANTS)} sequential runs"))
+              f"{len(SWEEP_VARIANTS)} sequential runs "
+              f"(min of {rounds} rounds)"))
 
-    assert swept.report.wall_time < sequential_wall
+    assert sweep_wall < sequential_wall
 
 
 def test_spec_compilation_overhead():
@@ -326,12 +365,12 @@ def test_spec_compilation_overhead():
     assert spec_wall < 0.01 * run_wall
 
 
-def test_telemetry_overhead_under_five_percent(deltas):
+def test_telemetry_overhead_under_five_percent():
     """A fully-instrumented run must cost < 5% over an untraced one.
 
     The telemetry path adds one JSONL trace sink plus the in-process
     metrics registry -- the full ``--trace`` configuration -- to the
-    serial benchmark campaign.  Per-event work is a dataclass, a dict and
+    serial benchmark study.  Per-event work is a dataclass, a dict and
     one buffered ``write``; against a campaign whose per-task cost is an
     ADC conversion sweep that must stay in the noise.  Min-of-rounds on
     both sides to suppress scheduler jitter.
@@ -341,22 +380,18 @@ def test_telemetry_overhead_under_five_percent(deltas):
 
     from repro.engine import JsonlTraceSink, MetricsSink, TelemetryBus
 
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     rounds = 3
 
     def min_wall(telemetry_factory):
         walls = []
-        result = None
+        outcome = None
         for _ in range(rounds):
-            rng = np.random.default_rng(BENCHMARK_SEED)
             telemetry = telemetry_factory()
-            result = campaign.run(
-                SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                rng=rng, backend=SerialBackend(), telemetry=telemetry)
+            outcome = _run(SerialBackend(), telemetry=telemetry)
             if telemetry is not None:
                 telemetry.close()
-            walls.append(result.engine_report.wall_time)
-        return min(walls), result
+            walls.append(outcome.report.wall_time)
+        return min(walls), outcome
 
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = Path(tmp) / "bench-trace.jsonl"
@@ -364,9 +399,7 @@ def test_telemetry_overhead_under_five_percent(deltas):
         def traced_bus():
             return TelemetryBus([JsonlTraceSink(trace_path), MetricsSink()])
 
-        campaign.run(SamplingPlan(exhaustive=False, n_samples=N_DEFECTS),
-                     rng=np.random.default_rng(BENCHMARK_SEED),
-                     backend=SerialBackend())  # warm-up round
+        _run(SerialBackend())  # warm-up round
         bare_wall, bare = min_wall(lambda: None)
         traced_wall, traced = min_wall(traced_bus)
 
@@ -375,31 +408,30 @@ def test_telemetry_overhead_under_five_percent(deltas):
     print()
     print(format_table(
         ["configuration", "#executed", "wall (s)", "overhead"],
-        [["untraced", bare.engine_report.n_executed,
+        [["untraced", bare.report.n_executed,
           f"{bare_wall:.3f}", "-"],
-         ["--trace + metrics", traced.engine_report.n_executed,
+         ["--trace + metrics", traced.report.n_executed,
           f"{traced_wall:.3f}", f"{overhead:+.1f}%"]],
         title=f"telemetry overhead ({N_DEFECTS} LWRS defects, "
               f"min of {rounds} rounds)"))
     assert overhead < 5.0
 
 
-def test_stream_payload_excludes_context(deltas):
+def test_stream_payload_excludes_context():
     """Bytes shipped per task versus the once-per-worker campaign context.
 
-    The pool initializer ships the work function -- and the campaign
-    context it closes over (the behavioral ADC, windows, defect universe)
-    -- once per worker; chunk submissions then carry bare work items.  On
-    the default campaign, unbatched and batched, the per-task payload must
-    stay at or below 1/10 of the per-worker context.
+    The pool initializer ships the work function -- and the study context
+    it closes over (the behavioral ADC, stimulus, invariances) -- once per
+    worker; chunk submissions then carry bare work items.  On the benchmark
+    study, unbatched and batched, the per-task payload must stay at or below
+    1/10 of the per-worker context.
     """
-    campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
     workers = max(2, N_WORKERS)
     rows = []
     for batch_size in (1, 16):
         backend = MultiprocessBackend(max_workers=workers,
                                       measure_payload=True)
-        _run(campaign, backend, batch_size=batch_size)
+        _run(backend, batch_size=batch_size)
         payload = backend.last_payload
         per_worker_context = payload.context_bytes / workers
         ratio = per_worker_context / payload.per_task_bytes

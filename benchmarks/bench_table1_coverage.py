@@ -52,7 +52,7 @@ EXHAUSTIVE_THRESHOLD = 120
 def _run_table1(deltas):
     campaign = DefectCampaign(adc=SarAdc(), deltas=deltas,
                               stop_on_detection=True)
-    # One engine run spans the whole per-block sweep; per-block LWRS draws
+    # One plain loop spans the whole per-block sweep; per-block LWRS draws
     # derive from the seed + block path, so the rows do not depend on block
     # order (and the whole-IP row below gets its own independent stream).
     per_block = campaign.run_per_block(n_samples_per_block=SAMPLES_PER_BLOCK,

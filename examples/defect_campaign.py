@@ -6,10 +6,13 @@ defect-universe extraction, likelihood weighting, LWRS sampling (or exhaustive
 simulation of small blocks), stop-on-detection SymBIST runs and
 likelihood-weighted coverage with 95 % confidence intervals.
 
-The per-block sweep is one engine run: every block's defect tasks are
-submitted together and each block's LWRS draws derive from the root seed +
-the block path, so the rows are identical for any block order, subset or
-worker count (pass ``--workers`` to shard the sweep across a process pool).
+The window calibration and the per-block sweep run as one study
+(:mod:`repro.studies`, the canned ``calibrate-then-campaign`` spec): every
+block's defect tasks are submitted together and each block's LWRS draws
+derive from the root seed + the block path, so the rows are identical for
+any block order, subset or worker count (pass ``--workers`` to shard the
+sweep across a process pool).  The whole-IP row is a plain serial
+``DefectCampaign.run`` with the study's windows.
 
 Run with::
 
@@ -30,9 +33,10 @@ import argparse
 import numpy as np
 
 from repro.adc import SarAdc
-from repro.core import calibrate_windows, format_confidence, format_table
+from repro.core import format_confidence, format_table
 from repro.defects import DefectCampaign, SamplingPlan
 from repro.engine import MultiprocessBackend, SerialBackend
+from repro.studies import CALIBRATE_THEN_CAMPAIGN, build_study
 
 
 def main() -> None:
@@ -51,21 +55,24 @@ def main() -> None:
     backend = SerialBackend() if args.workers <= 1 \
         else MultiprocessBackend(max_workers=args.workers)
 
-    print("calibrating comparison windows (delta = 5 sigma)...")
-    calibration = calibrate_windows(n_monte_carlo=args.monte_carlo,
-                                    rng=np.random.default_rng(args.seed))
-    campaign = DefectCampaign(adc=SarAdc(), deltas=calibration.deltas,
+    # One task graph spans the calibration and every block: small blocks
+    # exhaustively, large ones with a per-block LWRS budget, all
+    # interleaved in one engine run.
+    print("calibrating comparison windows (delta = 5 sigma) and running "
+          "the per-block sweep...")
+    overrides = {"seed": args.seed,
+                 "calibrate.n_monte_carlo": args.monte_carlo,
+                 "campaign.samples": args.samples_per_block,
+                 "campaign.exhaustive_threshold": 2 * args.samples_per_block}
+    if args.blocks:
+        overrides["campaign.blocks"] = args.blocks
+    outcome = build_study(CALIBRATE_THEN_CAMPAIGN.override(overrides)).run(
+        backend=backend)
+    results = outcome.results
+    campaign = DefectCampaign(adc=SarAdc(), deltas=outcome.calibration.deltas,
                               stop_on_detection=True)
-
     print(f"defect universe: {len(campaign.universe)} defects across "
           f"{len(campaign.universe.block_paths())} A/M-S blocks")
-
-    # One task graph spans every block: small blocks exhaustively, large
-    # ones with a per-block LWRS budget, all interleaved in one engine run.
-    results = campaign.run_per_block(
-        n_samples_per_block=args.samples_per_block, seed=args.seed,
-        exhaustive_threshold=2 * args.samples_per_block,
-        blocks=args.blocks, backend=backend)
 
     rows = []
     for block, result in results.items():
@@ -78,8 +85,7 @@ def main() -> None:
     if args.blocks is None:
         whole = campaign.run(SamplingPlan(exhaustive=False,
                                           n_samples=args.whole_ip_samples),
-                             rng=np.random.default_rng(args.seed),
-                             backend=backend)
+                             rng=np.random.default_rng(args.seed))
         overall = whole.overall_report()
         rows.append(["complete A/M-S part", len(campaign.universe),
                      overall.n_simulated, f"{overall.wall_time:.1f}",
@@ -91,9 +97,8 @@ def main() -> None:
         ["A/M-S block", "#defects", "#simulated", "wall time (s)",
          "L-W defect coverage"],
         rows, title="SymBIST defect-simulation campaign (Table I style)"))
-    engine_report = next(iter(results.values())).engine_report
     print()
-    print(f"engine (per-block sweep): {engine_report.summary()}")
+    print(f"engine (per-block sweep): {outcome.report.summary()}")
 
 
 if __name__ == "__main__":

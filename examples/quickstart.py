@@ -10,6 +10,12 @@ This is the smallest end-to-end use of the library:
 Run with::
 
     python examples/quickstart.py [--monte-carlo 40] [--k 5]
+
+``calibrate_windows`` is a plain serial loop.  The same calibration,
+sharded across processes or replayed from a cache, is the canned
+``calibrate`` study: ``repro-campaign run calibrate --set
+calibrate.n_monte_carlo=40 --set windows.k=5 --set seed=0 --workers 4``
+gives bit-identical windows (see ``docs/cli.md``).
 """
 
 from __future__ import annotations

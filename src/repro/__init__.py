@@ -28,11 +28,13 @@ Subpackages
 ``repro.analysis``
     Monte Carlo driver, statistics helpers and the yield-loss-versus-k model.
 ``repro.engine``
-    Campaign-execution engine: task graphs, serial/multiprocess backends,
-    deterministic per-task seeding, content-addressed result caching, the
-    declarative study layer (``StudySpec`` documents compiled against a
-    stage registry) and the ``repro-campaign`` CLI (``repro-campaign run
-    STUDY.toml``).
+    Generic campaign-execution engine: task graphs, serial/multiprocess
+    backends, deterministic per-task seeding, content-addressed result
+    caching, telemetry and the ``repro-campaign`` CLI.  Not imported by
+    ``import repro``.
+``repro.studies``
+    The paper's workflows as declarative studies compiled onto the engine:
+    the only layer that shards, caches or traces SymBIST work.
 
 Quickstart
 ----------
@@ -48,46 +50,45 @@ True
 
 Scaling campaigns
 -----------------
-Every heavyweight workload (window calibration, defect campaigns, Monte
-Carlo analyses, the yield-loss sweep) routes through the campaign engine and
-accepts ``backend=`` / ``cache=`` arguments:
+The domain functions above are plain serial loops.  Sharded, cached or
+traced runs are *studies*: :func:`repro.studies.build_study` compiles a
+declarative spec into one task graph, and the plan runs it on any engine
+backend with an optional result cache:
 
 >>> from repro.engine import MultiprocessBackend, ResultCache
->>> backend = MultiprocessBackend(max_workers=4)        # shard over 4 procs
->>> cache = ResultCache(".repro-cache", namespace="calibration")
->>> calibration = calibrate_windows(n_monte_carlo=25,
-...                                 rng=np.random.default_rng(0),
-...                                 backend=backend, cache=cache)
+>>> from repro.studies import CALIBRATE, build_study
+>>> plan = build_study(CALIBRATE.override({"calibrate.n_monte_carlo": 25}))
+>>> outcome = plan.run(backend=MultiprocessBackend(max_workers=4),
+...                    cache=ResultCache(".repro-cache"))
+>>> outcome.calibration.deltas == calibrate_windows(
+...     n_monte_carlo=25, rng=np.random.default_rng(1)).deltas
+True
 
 Each unit of work (one defect injection + test, one Monte Carlo sample, one
-``(k, yield)`` point) is a :class:`~repro.engine.Task` with its own
-``np.random.SeedSequence`` child, so results are byte-identical whatever the
-worker count or completion order; cached artifacts are keyed by task spec +
-seed + library version, so repeated runs are near-free.  The same machinery
-is available from the shell as ``repro-campaign`` (see
-:mod:`repro.engine.cli`), e.g.::
+``(k, yield)`` point) is an engine task with its own seed material, so
+results are bit-identical to the plain loops whatever the worker count or
+completion order; cached artifacts are keyed by task spec + seed + library
+version, so repeated runs are near-free.  The same studies run from the
+shell as ``repro-campaign run <study>`` (see :mod:`repro.engine.cli`),
+e.g.::
 
-    repro-campaign campaign --workers 4 --cache-dir .repro-cache
+    repro-campaign run calibrate-then-campaign --workers 4 \
+        --cache-dir .repro-cache
 """
 
-from . import (adc, analysis, circuit, core, defects, digital, engine,
-               functional_test)
+from . import adc, analysis, circuit, core, defects, digital, functional_test
 from .adc import SarAdc
 from .circuit import ReproError
 from .core import (SymBistController, SymBistResult, SymBistStimulus,
                    WindowCalibration, calibrate_windows, run_symbist)
 from .defects import DefectCampaign, SamplingPlan, build_defect_universe
-from .engine import (CampaignEngine, CampaignReport, MultiprocessBackend,
-                     ResultCache, SerialBackend, Task, TaskGraph)
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "CampaignEngine", "CampaignReport", "DefectCampaign",
-    "MultiprocessBackend", "ReproError", "ResultCache", "SamplingPlan",
-    "SarAdc", "SerialBackend", "SymBistController", "SymBistResult",
-    "SymBistStimulus", "Task", "TaskGraph", "WindowCalibration",
-    "__version__", "adc", "analysis", "build_defect_universe",
-    "calibrate_windows", "circuit", "core", "defects", "digital", "engine",
-    "functional_test", "run_symbist",
+    "DefectCampaign", "ReproError", "SamplingPlan", "SarAdc",
+    "SymBistController", "SymBistResult", "SymBistStimulus",
+    "WindowCalibration", "__version__", "adc", "analysis",
+    "build_defect_universe", "calibrate_windows", "circuit", "core",
+    "defects", "digital", "functional_test", "run_symbist",
 ]

@@ -17,8 +17,8 @@ test suite measures the converter against its datasheet.  Escapes split into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from ..adc.spec import AdcSpecification
 from ..circuit.errors import CoverageError
 from ..defects.injection import DefectInjector
 from ..defects.model import Defect
-from ..defects.simulator import (CampaignResult, defect_from_jsonable,
-                                 defect_to_jsonable)
-from ..engine import ResultCodec
+from ..defects.simulator import CampaignResult
 from ..functional_test.baseline_bist import FunctionalBistBaseline
 
 
@@ -86,31 +84,6 @@ class EscapeAnalysisResult:
         for record in self.records:
             grouped.setdefault(record.defect.block_path, []).append(record)
         return grouped
-
-
-def _escapes_to_jsonable(result: EscapeAnalysisResult) -> Dict[str, Any]:
-    return {
-        "n_undetected_total": result.n_undetected_total,
-        "records": [{"defect": defect_to_jsonable(r.defect),
-                     "spec_violations": list(r.spec_violations),
-                     "gross_failure": r.gross_failure}
-                    for r in result.records],
-    }
-
-
-def _escapes_from_jsonable(data: Mapping[str, Any]) -> EscapeAnalysisResult:
-    return EscapeAnalysisResult(
-        records=[EscapeRecord(defect=defect_from_jsonable(raw["defect"]),
-                              spec_violations=list(raw["spec_violations"]),
-                              gross_failure=raw["gross_failure"])
-                 for raw in data["records"]],
-        n_undetected_total=data["n_undetected_total"])
-
-
-#: Cache codec turning escape analyses into JSON artifacts and back; used by
-#: the ``escape`` stage of the study layer (:mod:`repro.studies.stages`).
-ESCAPE_CODEC = ResultCodec(encode=_escapes_to_jsonable,
-                           decode=_escapes_from_jsonable)
 
 
 def analyze_escapes(campaign_result: CampaignResult,

@@ -20,18 +20,13 @@ window.  Two estimators are provided:
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..circuit.errors import CalibrationError
-from ..core.calibration import WindowCalibration, collect_defect_free_residuals
-from ..core.stimulus import SymBistStimulus
-from ..engine import (CampaignEngine, ExecutionBackend, ResultCache,
-                      ResultCodec, Task, TaskGraph, canonical_json)
-from ..engine.telemetry import TelemetryBus
+from ..core.calibration import WindowCalibration
 from .statistics import (gaussian_exceedance_probability, per_test_to_per_run,
                          proportion_ci)
 
@@ -118,69 +113,22 @@ def empirical_yield_loss(calibration: WindowCalibration, k: float,
                           empirical_ci_half_width=half)
 
 
-def _yield_loss_worker(context: Mapping[str, Any], task: Task,
-                       rng: np.random.Generator) -> YieldLossPoint:
-    """Engine worker: one ``(k, yield)`` point of the sweep."""
-    calibration: Optional[WindowCalibration] = context["calibration"]
+def _yield_loss_worker(calibration: Optional[WindowCalibration], k: float,
+                       n_cycles: int) -> YieldLossPoint:
+    """One ``(k, yield)`` point of the sweep."""
     if calibration is not None and calibration.residual_pools:
-        return empirical_yield_loss(calibration, task.payload,
-                                    context["n_cycles"])
-    return analytic_yield_loss(task.payload)
-
-
-#: Cache codec for yield-loss points (plain dataclass of floats).
-POINT_CODEC = ResultCodec(encode=asdict,
-                          decode=lambda data: YieldLossPoint(**data))
-
-
-def _pools_fingerprint(calibration: Optional[WindowCalibration]) -> str:
-    """Stable digest of the residual pools a sweep point depends on."""
-    if calibration is None or not calibration.residual_pools:
-        return "analytic"
-    body = canonical_json(calibration.residual_pools)
-    return hashlib.sha256(body.encode()).hexdigest()[:16]
+        return empirical_yield_loss(calibration, k, n_cycles)
+    return analytic_yield_loss(k)
 
 
 def yield_loss_sweep(calibration: Optional[WindowCalibration] = None,
                      k_values: Sequence[float] = (2.0, 3.0, 4.0, 5.0, 6.0),
-                     n_cycles: int = 32,
-                     backend: Optional[ExecutionBackend] = None,
-                     cache: Optional[ResultCache] = None,
-                     telemetry: Optional[TelemetryBus] = None
-                     ) -> List[YieldLossPoint]:
+                     n_cycles: int = 32) -> List[YieldLossPoint]:
     """Yield loss across a sweep of ``k`` values (the E5 experiment).
 
-    Each ``k`` is one deterministic engine task, so the sweep can be sharded
-    or cached like any other campaign.
-
-    Parameters
-    ----------
-    backend:
-        Campaign-engine execution backend (see :mod:`repro.engine`); the
-        default serial backend reproduces the historical loop exactly, and
-        ``MultiprocessBackend(max_workers=N)`` shards the ``k`` points
-        across processes with identical results.
-    cache:
-        Optional :class:`~repro.engine.ResultCache`; per-``k`` points are
-        stored keyed by ``k``, ``n_cycles`` and a digest of the
-        calibration's residual pools, so re-running an identical sweep
-        replays them instead of recomputing.
+    Empirical points when ``calibration`` kept its residual pools, analytic
+    ones otherwise.  The ``yield`` stage of a study (:mod:`repro.studies`)
+    computes the same empirical points from its calibration samples.
     """
-    # The pools digest is cache-key material only; hashing ~n_samples*cycles
-    # floats is pointless on uncached sweeps.
-    pools_token = _pools_fingerprint(calibration) if cache is not None else None
-    tasks = TaskGraph()
-    for index, k in enumerate(k_values):
-        spec = None
-        if pools_token is not None:
-            spec = {"driver": "yield-loss-sweep", "k": float(k),
-                    "n_cycles": n_cycles, "pools": pools_token}
-        tasks.add(Task(task_id=f"yield/{index}/k={k:g}", payload=float(k),
-                       spec=spec, deterministic=True))
-    engine = CampaignEngine(backend=backend, cache=cache,
-                            telemetry=telemetry)
-    run = engine.run(tasks, _yield_loss_worker,
-                     context={"calibration": calibration,
-                              "n_cycles": n_cycles},
-                     codec=POINT_CODEC)
-    return list(run.results)
+    return [_yield_loss_worker(calibration, float(k), n_cycles)
+            for k in k_values]

@@ -21,8 +21,7 @@ from .sampling import (SamplingPlan, batch_seed_span, batch_spans,
                        block_seed_sequence, lwrs_sample,
                        per_block_selection, select_defects, variant_seed)
 from .simulator import (BlockCoverageReport, CampaignResult, DefectCampaign,
-                        DefectSimulationRecord, MODEL_SECONDS_PER_CYCLE,
-                        RECORD_CODEC)
+                        DefectSimulationRecord, MODEL_SECONDS_PER_CYCLE)
 from .universe import DefectUniverse, build_defect_universe
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
     "DEFAULT_TYPE_PRIORS", "Defect", "DefectCampaign", "DefectInjector",
     "DefectKind", "DefectSimulationRecord", "DefectUniverse", "GoldenTrace",
     "LOCAL_STAGE", "LikelihoodModel", "MODEL_SECONDS_PER_CYCLE",
-    "RECORD_CODEC", "STAGE_DOWNSTREAM",
+    "STAGE_DOWNSTREAM",
     "SamplingPlan", "Z_95",
     "BlockScore", "DiagnosisReport", "diagnose", "diagnosis_accuracy",
     "batch_seed_span", "batch_spans",

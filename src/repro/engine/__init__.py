@@ -37,14 +37,9 @@ executes such workloads:
 
 The engine is generic: it knows nothing about ADCs or defects.  The SymBIST
 stage kinds and the declarative study layer built on it live in
-:mod:`repro.studies`.
-
-The drivers in :mod:`repro.analysis.monte_carlo`,
-:mod:`repro.core.calibration`, :mod:`repro.defects.simulator` and
-:mod:`repro.analysis.yield_loss` all route their work through this engine;
-passing ``backend=MultiprocessBackend(max_workers=N)`` and/or a
-:class:`ResultCache` to any of them parallelises/caches that workload without
-changing its results.
+:mod:`repro.studies`, the engine's only SymBIST client: a study plan runs
+with ``backend=MultiprocessBackend(max_workers=N)`` and/or a
+:class:`ResultCache` without changing its results.
 """
 
 from .backends import (ExecutionBackend, MultiprocessBackend, PayloadReport,

@@ -10,7 +10,7 @@ Two backends are provided here (the socket-distributed one lives in
 :mod:`repro.service.socket_backend`):
 
 * :class:`SerialBackend` -- runs items one by one in the calling process; the
-  default, bit-identical to the historical serial loops of the drivers.
+  default, bit-identical to the plain serial loops of the domain drivers.
 * :class:`MultiprocessBackend` -- executes on a
   :class:`concurrent.futures.ProcessPoolExecutor`.  The work function -- and
   therefore the whole campaign context it closes over (the behavioral ADC,

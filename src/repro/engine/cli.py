@@ -1,4 +1,4 @@
-"""``repro-campaign`` -- run calibrations and defect campaigns from the shell.
+"""``repro-campaign`` -- run SymBIST studies from the shell.
 
 The command line drives the heavyweight workloads of the reproduction
 through the campaign engine, with sharded workers and a persistent artifact
@@ -6,27 +6,25 @@ cache::
 
     repro-campaign run examples/studies/block_study.toml --workers 4
     repro-campaign run yield-loss-study --set campaign.samples=40
-    repro-campaign calibrate --monte-carlo 100 --workers 4 --cache-dir .cache
-    repro-campaign campaign --blocks sc_array vcm_generator --workers 4
+    repro-campaign run calibrate --set calibrate.n_monte_carlo=100 --workers 4
+    repro-campaign run calibrate-then-campaign \
+        --set campaign.blocks=sc_array,vcm_generator --workers 4
     repro-campaign run block-study --workers 4 --json table1.json
     repro-campaign cache stats --cache-dir .cache
     repro-campaign warehouse index .cache --db results.sqlite
     repro-campaign warehouse query per-block-coverage --db results.sqlite
 
 ``run`` is the one way to run a study: it loads a declarative study spec
-(a TOML/JSON document, or the name of a canned study --
-``calibrate-then-campaign``, ``block-study`` (Table I in one engine run) or
-``yield-loss-study``; see ``docs/studies.md`` and ``examples/studies/``),
-applies ``--set stage.param=value`` overrides, compiles it with
-:mod:`repro.studies` and executes the whole study as one dependency-aware
-task graph.  ``calibrate`` and ``campaign`` run the two phases separately;
-``cache`` inspects and garbage-collects a cache directory; ``warehouse``
-maintains and queries a SQLite index of the completed results
-(``--warehouse DB`` on any workload subcommand keeps it up to date as runs
-finish).
-
-``run`` and ``campaign`` emit the same per-block JSON schema, with the
-single engine report of the run under the top-level ``engine`` key.
+(a TOML/JSON document, or the name of a canned study -- ``calibrate``
+(the Monte Carlo window calibration), ``calibrate-then-campaign``,
+``block-study`` (Table I in one engine run) or ``yield-loss-study``; see
+``docs/studies.md`` and ``examples/studies/``), applies ``--set
+stage.param=value`` overrides, compiles it with :mod:`repro.studies` and
+executes the whole study as one dependency-aware task graph, with the
+single engine report of the run under the top-level ``engine`` key of its
+JSON.  ``cache`` inspects and garbage-collects a cache directory;
+``warehouse`` maintains and queries a SQLite index of the completed results
+(``--warehouse DB`` on ``run`` keeps it up to date as runs finish).
 
 ``--workers 1`` (the default) executes serially; any higher count shards the
 work across a process pool with byte-identical results; the pool receives
@@ -46,10 +44,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..studies import build_study, load_study, study_payload
-from ..studies.payload import _block_json
 from . import console
 
 
@@ -87,23 +82,17 @@ def _build_backend(args: argparse.Namespace):
                                mp_context=getattr(args, "mp_context", None))
 
 
-def _build_cache(args: argparse.Namespace, namespace: str):
+def _build_cache(args: argparse.Namespace):
     from . import ResultCache
     if args.cache_dir is None:
         return None
-    return ResultCache(args.cache_dir, namespace=namespace,
+    return ResultCache(args.cache_dir, namespace="calibration",
                        max_bytes=args.cache_max_bytes,
                        max_age=args.cache_max_age)
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser,
-                          seeded: bool = False) -> None:
-    """Execution/caching options shared by every workload subcommand.
-
-    ``seeded=True`` adds the ``calibrate``/``campaign`` knobs (``--seed``,
-    ``--monte-carlo``, ``--k``) that the `run` subcommand replaces with
-    spec entries / ``--set`` overrides.
-    """
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Execution/caching options of the ``run`` subcommand."""
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (1 = serial; results are "
                              "identical for any value)")
@@ -124,15 +113,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--cache-max-age", type=float, default=None,
                         help="cache artifact lifetime in seconds; older "
                              "artifacts expire (survives restarts)")
-    if seeded:
-        parser.add_argument("--seed", type=int, default=1,
-                            help="root seed of every random draw")
-        parser.add_argument("--monte-carlo", type=int, default=50,
-                            help="Monte Carlo samples of the window "
-                                 "calibration")
-        parser.add_argument("--k", type=float, default=5.0,
-                            help="window guard-band multiplier "
-                                 "(delta = k*sigma)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the machine-readable results to this file")
     parser.add_argument("--trace", default=None, metavar="FILE.jsonl",
@@ -182,108 +162,11 @@ def _telemetry_from_args(args: argparse.Namespace,
     return TelemetryBus(sinks) if sinks else None
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_engine_arguments(parser, seeded=True)
-
-
-def _calibrate(args: argparse.Namespace, telemetry: Any = None):
-    from ..core import calibrate_windows
-    return calibrate_windows(
-        k=args.k, n_monte_carlo=args.monte_carlo,
-        rng=np.random.default_rng(args.seed),
-        backend=_build_backend(args),
-        cache=_build_cache(args, "calibration"),
-        telemetry=telemetry)
-
-
 def _emit(args: argparse.Namespace, payload: Dict[str, Any]) -> None:
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         console.info(f"wrote {args.json_path}")
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    from ..core import format_table
-    telemetry = _telemetry_from_args(args, study="calibrate")
-    try:
-        calibration = _calibrate(args, telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    rows = [[name, f"{calibration.sigmas[name]:.3e}",
-             f"{calibration.means[name]:+.3e}", f"{delta:.3e}"]
-            for name, delta in calibration.deltas.items()]
-    console.info(format_table(
-        ["invariance", "sigma", "mean", f"delta (k={args.k:g})"], rows,
-        title="SymBIST window calibration"))
-    _emit(args, {"k": args.k, "n_samples": calibration.n_samples,
-                 "sigmas": calibration.sigmas, "means": calibration.means,
-                 "deltas": calibration.deltas})
-    return 0
-
-
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from ..adc import SarAdc
-    from ..core import format_confidence, format_table
-    from ..defects import DefectCampaign
-
-    backend = _build_backend(args)
-    cache = _build_cache(args, "defects")
-
-    console.info(f"calibrating comparison windows (delta = {args.k:g} sigma, "
-                 f"{args.monte_carlo} MC samples)...")
-    calibration = _calibrate(args)
-    campaign = DefectCampaign(
-        adc=SarAdc(), deltas=calibration.deltas,
-        stop_on_detection=not args.no_stop_on_detection)
-    console.info(f"defect universe: {len(campaign.universe)} defects across "
-                 f"{len(campaign.universe.block_paths())} A/M-S blocks")
-
-    # One engine run spans the whole sweep: every block's defect tasks are
-    # submitted together, with per-block seeds derived from --seed + the
-    # block path (identical results for any block order or worker count).
-    # Telemetry covers this run (the workload), not the calibration above,
-    # so a --trace file holds exactly one run and reconciles with the
-    # engine report.
-    telemetry = _telemetry_from_args(args, study="campaign")
-    try:
-        results = campaign.run_per_block(
-            n_samples_per_block=args.samples, seed=args.seed,
-            exhaustive_threshold=args.exhaustive_threshold,
-            blocks=args.blocks or None,  # a bare `--blocks` means every block
-            exhaustive=args.exhaustive, batch_size=args.batch_size,
-            backend=backend, cache=cache,
-            telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-    rows: List[List[Any]] = []
-    results_json: List[Dict[str, Any]] = []
-    for block, result in results.items():
-        report = result.block_report(block)
-        rows.append([block, report.n_defects, report.n_simulated,
-                     result.n_detected,
-                     f"{report.modeled_sim_time:.0f}",
-                     format_confidence(report.coverage.value,
-                                       report.coverage.ci_half_width)])
-        results_json.append(_block_json(block, result))
-    engine_report = next(iter(results.values())).engine_report
-
-    console.info()
-    console.info(format_table(
-        ["A/M-S block", "#defects", "#simulated", "#detected",
-         "model sim time (s)", "L-W defect coverage"],
-        rows, title="SymBIST defect-simulation campaign (Table I style)"))
-    console.info()
-    console.info(f"engine: {engine_report.summary()}")
-    from ..dut import default_dut
-    _emit(args, {"deltas": calibration.deltas, "workers": args.workers,
-                 "k": args.k, "seed": args.seed, "blocks": results_json,
-                 "dut": default_dut().fingerprint(),
-                 "engine": engine_report.summary()})
-    return 0
 
 
 def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
@@ -310,10 +193,11 @@ def _parse_set_assignment(entry: str) -> "Tuple[str, Any]":
 def cmd_run(args: argparse.Namespace) -> int:
     """Compile a study spec, run it and report.
 
-    The cache namespace is "calibration" (not a study-private one) so the
-    calibrate stage replays artifacts written by ``repro-campaign
-    calibrate`` and vice versa; every other stage's artifacts carry
-    distinct "driver" fields and cannot collide.
+    Every study shares the cache namespace "calibration" (the name predates
+    the single ``run`` entry point and keeps old caches warm), so a study's
+    calibrate stage replays artifacts written by any other study; every
+    other stage's artifacts carry distinct "driver" fields and cannot
+    collide.
     """
     spec = _load_spec_with_overrides(args)
     plan = build_study(spec)
@@ -328,7 +212,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args, study=spec.name)
     try:
         outcome = plan.run(backend=_build_backend(args),
-                           cache=_build_cache(args, "calibration"),
+                           cache=_build_cache(args),
                            telemetry=telemetry)
     finally:
         if telemetry is not None:
@@ -709,25 +593,6 @@ def cmd_shutdown(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--blocks", nargs="*", default=None,
-                        help="restrict the campaign to these block paths")
-    parser.add_argument("--samples", type=int, default=60,
-                        help="LWRS budget for blocks too large to exhaust")
-    parser.add_argument("--exhaustive", action="store_true",
-                        help="simulate every defect of every block")
-    parser.add_argument("--exhaustive-threshold", type=int, default=120,
-                        help="blocks with at most this many defects are "
-                             "simulated exhaustively")
-    parser.add_argument("--no-stop-on-detection", action="store_true",
-                        help="run the full test even after detection")
-    parser.add_argument("--batch-size", type=_positive_int, default=1,
-                        help="defects evaluated per task as one vectorized "
-                             "sweep against a cached defect-free golden "
-                             "trace (results are bit-identical for every "
-                             "batch size)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -743,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
              "canned study name) as one task graph")
     run.add_argument("study",
                      help="path to a .toml/.json study spec, or a canned "
-                          "study name (calibrate-then-campaign, "
+                          "study name (calibrate, calibrate-then-campaign, "
                           "block-study, yield-loss-study)")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a spec entry: seed=..., <param>=... "
@@ -752,17 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "dut.resolution_bits=8); repeatable")
     _add_engine_arguments(run)
     run.set_defaults(func=cmd_run)
-
-    calibrate = sub.add_parser(
-        "calibrate", help="Monte Carlo window calibration (delta = k*sigma)")
-    _add_common_arguments(calibrate)
-    calibrate.set_defaults(func=cmd_calibrate)
-
-    campaign = sub.add_parser(
-        "campaign", help="defect-simulation campaign (Table I style)")
-    _add_common_arguments(campaign)
-    _add_campaign_arguments(campaign)
-    campaign.set_defaults(func=cmd_campaign)
 
     trace = sub.add_parser(
         "trace",

@@ -2,7 +2,9 @@
 
 The campaign engine (:mod:`repro.engine`) runs generic task graphs and
 knows nothing about ADCs or defects.  This package is the SymBIST layer on
-top of it:
+top of it, and the only place that builds task graphs or picks backends,
+caches and telemetry for SymBIST work (the domain packages are plain
+serial loops):
 
 * :mod:`repro.studies.stages` -- the six stage kinds (``calibrate``,
   ``windows``, ``campaign``, ``yield``, ``escape``, ``block-summary``):
@@ -11,8 +13,8 @@ top of it:
 * :mod:`repro.studies.spec` -- :class:`StudySpec` documents (TOML/JSON
   round-trippable), the :func:`build_study` compiler producing a runnable
   :class:`StudyPlan`, the :class:`StudyOutcome` it assembles, and the
-  canned studies :data:`CALIBRATE_THEN_CAMPAIGN`, :data:`BLOCK_STUDY` and
-  :data:`YIELD_LOSS_STUDY`;
+  canned studies :data:`CALIBRATE`, :data:`CALIBRATE_THEN_CAMPAIGN`,
+  :data:`BLOCK_STUDY` and :data:`YIELD_LOSS_STUDY`;
 * :mod:`repro.studies.payload` -- :func:`study_payload`, the JSON schema
   ``repro-campaign run --json`` and the campaign daemon write.
 
@@ -25,14 +27,14 @@ Usage::
 """
 
 from .payload import study_payload
-from .spec import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, CANNED_STUDIES,
-                   StageSpec, StudyBuild, StudyOutcome, StudyPlan, StudySpec,
-                   VariantSpec, YIELD_LOSS_STUDY, build_study, load_study,
-                   run_study)
+from .spec import (BLOCK_STUDY, CALIBRATE, CALIBRATE_THEN_CAMPAIGN,
+                   CANNED_STUDIES, StageSpec, StudyBuild, StudyOutcome,
+                   StudyPlan, StudySpec, VariantSpec, YIELD_LOSS_STUDY,
+                   build_study, load_study, run_study)
 
 __all__ = [
-    "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES", "StageSpec",
-    "StudyBuild", "StudyOutcome", "StudyPlan", "StudySpec", "VariantSpec",
+    "BLOCK_STUDY", "CALIBRATE", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
+    "StageSpec", "StudyBuild", "StudyOutcome", "StudyPlan", "StudySpec", "VariantSpec",
     "YIELD_LOSS_STUDY", "build_study", "load_study", "run_study",
     "study_payload",
 ]

@@ -1,8 +1,8 @@
 """The machine-readable JSON payload of a study run.
 
-One schema for every producer: ``repro-campaign run --json`` and
-``repro-campaign campaign --json`` on the shell, and the result files the
-campaign daemon persists for submitted studies.  Daemon results and CLI
+One schema for every producer: ``repro-campaign run --json`` on the
+shell, and the result files the campaign daemon persists for submitted
+studies.  Daemon results and CLI
 results are compared with ``tools/diff_study_json.py``, which pins the key
 schema, so every producer builds its payload here.
 """
@@ -16,9 +16,7 @@ from ..dut import default_dut
 
 def _block_json(block: str, result: Any, variant: Optional[str] = None,
                 dut_fingerprint: Optional[str] = None) -> Dict[str, Any]:
-    """Machine-readable per-block payload, shared by the study payload and
-    the ``campaign`` subcommand so they can never drift apart in JSON
-    schema.
+    """Machine-readable per-block payload of one study campaign block.
 
     Every row names the device it ran against (``dut_fingerprint``,
     defaulting to the paper's device) and the study variant it belongs to
@@ -78,6 +76,12 @@ def _stage_payload(plan: Any, outcome: Any) -> Dict[str, Any]:
     calibration = outcome.calibration
     if calibration is not None:
         payload["deltas"] = calibration.deltas
+        if plan.campaign_stage is None and plan.yield_stage is None:
+            # A calibration-only study reports the whole window
+            # calibration; every other study keeps its schema.
+            payload.update(sigmas=calibration.sigmas,
+                           means=calibration.means,
+                           n_samples=calibration.n_samples)
 
     if plan.campaign_stage is not None:
         payload["blocks"] = [

@@ -18,9 +18,10 @@ into one dependency-aware task graph, written as **data**:
   :class:`StudyOutcome` with named-stage accessors (``calibration``,
   ``results``, ``summaries``, ``yield_points``, ``escapes``).
 
-The three canned studies -- :data:`CALIBRATE_THEN_CAMPAIGN`,
-:data:`BLOCK_STUDY` and :data:`YIELD_LOSS_STUDY` -- are ``StudySpec``
-constants (``repro-campaign run block-study`` runs one by name).
+The four canned studies -- :data:`CALIBRATE`,
+:data:`CALIBRATE_THEN_CAMPAIGN`, :data:`BLOCK_STUDY` and
+:data:`YIELD_LOSS_STUDY` -- are ``StudySpec`` constants
+(``repro-campaign run block-study`` runs one by name).
 ``repro-campaign run STUDY.toml`` (with ``--set stage.param=value``
 overrides) runs any spec from the shell; see ``docs/studies.md`` and
 ``examples/studies/`` for the format.
@@ -64,20 +65,21 @@ from ..core.invariance import build_invariances
 from ..core.stimulus import SymBistStimulus
 from ..core.test_time import CheckingMode
 from ..defects.sampling import per_block_selection, variant_seed
-from ..defects.simulator import (_WORKER_STATE, CampaignResult,
-                                 _flatten_records, adc_fingerprint)
+from ..defects.simulator import CampaignResult, adc_fingerprint
 from ..defects.universe import build_defect_universe
 from ..dut import DutSpec, default_dut
 from ..engine import (CampaignReport, ExecutionBackend, Pipeline,
                       PipelineResult, ResultCache, TelemetryBus)
 from ..engine.executor import ProgressCallback
 from ..engine.registry import coerce_param, stage_definition
-# Registers the SymBIST stage kinds the canned specs below validate against.
-from . import stages  # noqa: F401
+# Importing the stages module registers the SymBIST stage kinds the canned
+# specs below validate against.
+from .stages import _WORKER_STATE, _flatten_records
 
 __all__ = [
-    "BLOCK_STUDY", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES", "StageSpec",
-    "StudyBuild", "StudyOutcome", "StudyPlan", "StudySpec", "VariantSpec",
+    "BLOCK_STUDY", "CALIBRATE", "CALIBRATE_THEN_CAMPAIGN", "CANNED_STUDIES",
+    "StageSpec", "StudyBuild", "StudyOutcome", "StudyPlan", "StudySpec",
+    "VariantSpec",
     "YIELD_LOSS_STUDY", "build_study", "load_study", "run_study",
 ]
 
@@ -984,9 +986,8 @@ class StudyPlan:
                                        cancel=cancel)
         finally:
             # Serial runs build the campaign in this process; drop it so
-            # the ADC/hierarchy/injector do not outlive the run (mirrors
-            # DefectCampaign.run's own cleanup).  A variant study holds one
-            # campaign per variant.
+            # the ADC/hierarchy/injector do not outlive the run.  A variant
+            # study holds one campaign per variant.
             tokens = [self.worker_token] + [plan.worker_token
                                             for plan in self.variants.values()]
             for token in tokens:
@@ -1074,9 +1075,16 @@ def run_study(spec: StudySpec,
 
 # ============================================================ canned studies
 #
-# The paper's three workflows as StudySpec constants.  Parameters are the
+# The paper's workflows as StudySpec constants.  Parameters are the
 # registry defaults; callers compile them with per-call overrides
 # (``CANNED.override({...})`` or ``repro-campaign run <name> --set ...``).
+
+CALIBRATE = StudySpec(
+    name="calibrate",
+    stages=(
+        StageSpec(stage="calibrate"),
+        StageSpec(stage="windows", after=("calibrate",)),
+    )).validated()
 
 CALIBRATE_THEN_CAMPAIGN = StudySpec(
     name="calibrate-then-campaign",
@@ -1110,4 +1118,5 @@ YIELD_LOSS_STUDY = StudySpec(
 #: The canned studies by name (also accepted by ``repro-campaign run``).
 CANNED_STUDIES: Dict[str, StudySpec] = {
     spec.name: spec
-    for spec in (CALIBRATE_THEN_CAMPAIGN, BLOCK_STUDY, YIELD_LOSS_STUDY)}
+    for spec in (CALIBRATE, CALIBRATE_THEN_CAMPAIGN, BLOCK_STUDY,
+                 YIELD_LOSS_STUDY)}

@@ -6,7 +6,12 @@ name with a typed parameter schema.  Each kind keeps its pieces side by
 side: the stage worker (the engine's dependency-graph worker contract
 ``worker(stage_context, task, rng, inputs)``), the expander that adds the
 stage's tasks and dependency edges to the study's pipeline, the result
-codec and the ``register_stage`` call.
+codec with its cache-key material and the ``register_stage`` call.  This is
+the only module that turns the domain layers' plain per-item workers
+(:func:`repro.core.calibration._residual_worker`,
+:meth:`DefectCampaign.simulate_defect_batch
+<repro.defects.DefectCampaign.simulate_defect_batch>`, ...) into engine
+tasks.
 
 ==============  ============================================================
 ``calibrate``   defect-free Monte Carlo instances (one task per sample)
@@ -38,23 +43,27 @@ from __future__ import annotations
 
 import hashlib
 import uuid
-from typing import Any, Dict, List, Mapping, Sequence
+from dataclasses import asdict
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.escape_analysis import ESCAPE_CODEC, analyze_escapes
-from ..analysis.yield_loss import POINT_CODEC, empirical_yield_loss
+from ..analysis.escape_analysis import (EscapeAnalysisResult, EscapeRecord,
+                                       analyze_escapes)
+from ..analysis.yield_loss import YieldLossPoint, empirical_yield_loss
+from ..circuit.components import PullDirection
 from ..circuit.errors import CalibrationError, EngineError
-from ..core.calibration import (RESIDUAL_CODEC, WindowCalibration,
-                                _residual_worker, calibration_task_spec,
+from ..circuit.variation import VariationSpec
+from ..core.calibration import (WindowCalibration, _residual_worker,
                                 windows_from_pools)
+from ..core.stimulus import SymBistStimulus
 from ..defects.coverage import exhaustive_coverage, lwrs_coverage
+from ..defects.model import Defect, DefectKind
 from ..defects.sampling import SamplingPlan, batch_spans
-from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE, RECORD_CODEC,
-                                 CampaignResult, _flatten_records,
-                                 _worker_campaign)
+from ..defects.simulator import (MODEL_SECONDS_PER_CYCLE, CampaignResult,
+                                 DefectCampaign, DefectSimulationRecord)
 from ..defects.universe import DefectUniverse
-from ..engine import Task, canonical_json, factory_token
+from ..engine import ResultCodec, Task, canonical_json, factory_token
 from ..engine.registry import (StageDefinition, StageParam, register_stage,
                                stage_definition)
 
@@ -78,19 +87,42 @@ def _pool_residuals(names: Sequence[str], task: Task,
 
 # ================================================================ calibrate
 
+#: Cache codec of the per-sample residual tasks.  The result -- one
+#: per-cycle float list per invariance -- is natively JSON, but the lists
+#: dominate the artifact, so ``sidecar=True`` externalizes them to ``.npy``
+#: files (bit-identical on read; see :mod:`repro.engine.cache`).
+RESIDUAL_CODEC = ResultCodec(encode=lambda rows: rows,
+                             decode=lambda rows: rows, sidecar=True)
+
+
+def calibration_task_spec(factory_name: str,
+                          stimulus: SymBistStimulus,
+                          variation_spec: Optional[VariationSpec],
+                          invariance_names: Sequence[str]) -> Dict[str, Any]:
+    """Cache-key spec of one defect-free Monte Carlo residual task, shared
+    by every study's calibrate stage so each replays the others'
+    artifacts."""
+    return {"driver": "symbist-calibration",
+            "factory": factory_name,
+            "stimulus": asdict(stimulus),
+            "variation": asdict(variation_spec)
+            if variation_spec is not None else None,
+            "invariances": list(invariance_names)}
+
+
 def _calibration_stage_worker(context: Mapping[str, Any], task: Task,
                               rng: np.random.Generator,
                               inputs: Mapping[str, Any]) -> Any:
     """One defect-free Monte Carlo instance (root task, ignores inputs)."""
-    return _residual_worker(context, task, rng)
+    return _residual_worker(rng=rng, **context)
 
 
 def _expand_calibrate(build: Any, name: str,
                       params: Dict[str, Any]) -> None:
     """One calib task per sample, with per-sample seeds drawn up front from
-    ``default_rng(seed)`` -- the calibration scaffolding every study shares,
-    so their calibrate stages replay each other's (and ``calibrate_windows``'s)
-    cache artifacts."""
+    ``default_rng(seed)`` exactly like ``calibrate_windows(rng=
+    default_rng(seed))`` -- the calibration scaffolding every study shares,
+    so their calibrate stages replay each other's cache artifacts."""
     n_monte_carlo = params["n_monte_carlo"]
     if n_monte_carlo <= 0:
         raise EngineError(
@@ -244,6 +276,107 @@ register_stage(StageDefinition(
 
 # ================================================================= campaign
 
+#: Per-process campaign state of the campaign stage workers, keyed by the
+#: study's run token.  The first defect task in a process builds the
+#: campaign from the stage context (serial runs and fork-started workers in
+#: the parent's process, spawn-started or socket workers once per process);
+#: :meth:`repro.studies.StudyPlan.run` drops the parent-process instance
+#: after the run.
+_WORKER_STATE: Dict[str, DefectCampaign] = {}
+
+
+def _worker_campaign(context: Mapping[str, Any]) -> DefectCampaign:
+    token = context["token"]
+    campaign = _WORKER_STATE.get(token)
+    if campaign is None:
+        campaign = DefectCampaign(
+            adc=context["adc"], deltas=context["deltas"],
+            stimulus=context["stimulus"], mode=context["mode"],
+            stop_on_detection=context["stop_on_detection"],
+            likelihood_model=context["likelihood_model"],
+            seconds_per_cycle=context["seconds_per_cycle"])
+        _WORKER_STATE.clear()
+        _WORKER_STATE[token] = campaign
+    return campaign
+
+
+def defect_to_jsonable(defect: Defect) -> Dict[str, Any]:
+    """JSON rendering of one :class:`Defect`, shared by every cache codec
+    that stores defects (per-defect campaign records, escape analyses)."""
+    return {
+        "defect_id": defect.defect_id,
+        "block_path": defect.block_path,
+        "device_name": defect.device_name,
+        "kind": defect.kind.value,
+        "terminals": list(defect.terminals),
+        "pull": defect.pull.value if defect.pull is not None else None,
+        "likelihood": defect.likelihood,
+    }
+
+
+def defect_from_jsonable(raw: Mapping[str, Any]) -> Defect:
+    """Inverse of :func:`defect_to_jsonable`."""
+    return Defect(
+        defect_id=raw["defect_id"], block_path=raw["block_path"],
+        device_name=raw["device_name"], kind=DefectKind(raw["kind"]),
+        terminals=tuple(raw["terminals"]),
+        pull=PullDirection(raw["pull"]) if raw["pull"] is not None else None,
+        likelihood=raw["likelihood"])
+
+
+def _record_to_jsonable(record: DefectSimulationRecord) -> Dict[str, Any]:
+    return {
+        "defect": defect_to_jsonable(record.defect),
+        "detected": record.detected,
+        "detecting_invariance": record.detecting_invariance,
+        "detection_cycle": record.detection_cycle,
+        "cycles_run": record.cycles_run,
+        "modeled_sim_time": record.modeled_sim_time,
+        "wall_time": record.wall_time,
+    }
+
+
+def _record_from_jsonable(data: Mapping[str, Any]) -> DefectSimulationRecord:
+    return DefectSimulationRecord(
+        defect=defect_from_jsonable(data["defect"]), detected=data["detected"],
+        detecting_invariance=data["detecting_invariance"],
+        detection_cycle=data["detection_cycle"],
+        cycles_run=data["cycles_run"],
+        modeled_sim_time=data["modeled_sim_time"],
+        wall_time=data["wall_time"])
+
+
+def _result_to_jsonable(result) -> Any:
+    """Codec encoder for both per-defect records and batched record lists."""
+    if isinstance(result, list):
+        return [_record_to_jsonable(record) for record in result]
+    return _record_to_jsonable(result)
+
+
+def _result_from_jsonable(data) -> Any:
+    if isinstance(data, list):
+        return [_record_from_jsonable(raw) for raw in data]
+    return _record_from_jsonable(data)
+
+
+#: Cache codec turning per-defect records (or batched lists of them) into
+#: JSON artifacts and back.
+RECORD_CODEC = ResultCodec(encode=_result_to_jsonable,
+                           decode=_result_from_jsonable)
+
+
+def _flatten_records(results: Sequence[Any]) -> List[DefectSimulationRecord]:
+    """Flatten campaign task results (records or batched record lists) in
+    order."""
+    records: List[DefectSimulationRecord] = []
+    for result in results:
+        if isinstance(result, list):
+            records.extend(result)
+        else:
+            records.append(result)
+    return records
+
+
 def _campaign_stage_worker(context: Mapping[str, Any], task: Task,
                            rng: np.random.Generator,
                            inputs: Mapping[str, Any]) -> Any:
@@ -294,9 +427,9 @@ def _expand_campaign(build: Any, name: str, params: Dict[str, Any]) -> None:
     build.campaign_stage = name
 
     # Per-block LWRS draws derive from the root seed + block path
-    # (block_seed_sequence), exactly like DefectCampaign.run_per_block and
-    # the campaign subcommand -- so the selection is identical for any block
-    # order, block subset or worker count.
+    # (block_seed_sequence), exactly like DefectCampaign.run_per_block -- so
+    # the selection is identical for any block order, block subset or worker
+    # count.
     selection = build.selection()
     # The per-block prefix is the literal "block"; a variant's instance
     # label already carries the variant prefix, the literal needs it added
@@ -393,6 +526,11 @@ register_stage(StageDefinition(
 
 # ============================================================ yield sweep
 
+#: Cache codec for yield-loss points (plain dataclass of floats).
+POINT_CODEC = ResultCodec(encode=asdict,
+                          decode=lambda data: YieldLossPoint(**data))
+
+
 def _yield_stage_worker(context: Mapping[str, Any], task: Task,
                         rng: np.random.Generator,
                         inputs: Mapping[str, Any]) -> Any:
@@ -470,6 +608,30 @@ register_stage(StageDefinition(
 
 
 # ========================================================= escape analysis
+
+def _escapes_to_jsonable(result: EscapeAnalysisResult) -> Dict[str, Any]:
+    return {
+        "n_undetected_total": result.n_undetected_total,
+        "records": [{"defect": defect_to_jsonable(r.defect),
+                     "spec_violations": list(r.spec_violations),
+                     "gross_failure": r.gross_failure}
+                    for r in result.records],
+    }
+
+
+def _escapes_from_jsonable(data: Mapping[str, Any]) -> EscapeAnalysisResult:
+    return EscapeAnalysisResult(
+        records=[EscapeRecord(defect=defect_from_jsonable(raw["defect"]),
+                              spec_violations=list(raw["spec_violations"]),
+                              gross_failure=raw["gross_failure"])
+                 for raw in data["records"]],
+        n_undetected_total=data["n_undetected_total"])
+
+
+#: Cache codec turning escape analyses into JSON artifacts and back.
+ESCAPE_CODEC = ResultCodec(encode=_escapes_to_jsonable,
+                           decode=_escapes_from_jsonable)
+
 
 def _escape_stage_worker(context: Mapping[str, Any], task: Task,
                          rng: np.random.Generator,

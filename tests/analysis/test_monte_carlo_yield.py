@@ -38,6 +38,21 @@ class TestMonteCarloRunner:
         with pytest.raises(SimulationError):
             MonteCarloRunner().run(lambda adc, i: 0.0, 0)
 
+    def test_sample_i_draws_from_the_ith_seed_child(self):
+        """Sample ``i`` is the IP varied by ``SeedSequence(seed)``'s
+        ``i``-th child -- the per-sample seeding contract."""
+        from repro.adc import SarAdc
+        from repro.circuit import VariationSpec
+        result = MonteCarloRunner(seed=9).run(
+            lambda adc, i: adc.operating_point().vbg, 3)
+        expected = []
+        for child in np.random.SeedSequence(9).spawn(3):
+            adc = SarAdc()
+            adc.sample_variation(np.random.default_rng(child),
+                                 VariationSpec())
+            expected.append(adc.operating_point().vbg)
+        assert result.samples == expected
+
 
 class TestAnalyticYieldLoss:
     def test_k5_yield_loss_is_negligible(self):

@@ -86,3 +86,17 @@ class TestResidualPools:
     def test_collect_requires_positive_samples(self):
         with pytest.raises(CalibrationError):
             collect_defect_free_residuals(n_monte_carlo=0)
+
+    def test_custom_invariances_pool_only_their_residuals(self, invariances):
+        """A custom invariance set pools exactly its own residuals, equal to
+        the matching pools of the standard set."""
+        chosen = [inv for inv in invariances
+                  if inv.name in ("msb_sum", "sign")]
+        custom = collect_defect_free_residuals(
+            invariances=chosen, n_monte_carlo=2,
+            rng=np.random.default_rng(0))
+        standard = collect_defect_free_residuals(
+            n_monte_carlo=2, rng=np.random.default_rng(0))
+        assert list(custom) == ["msb_sum", "sign"]
+        for name, pool in custom.items():
+            assert pool == standard[name]

@@ -454,7 +454,7 @@ class TestStateVersionGuard:
         result = campaign.run(blocks=["vcm_generator", "rs_latch"],
                               progress=progress)
         assert result.n_simulated > 50
-        assert after_first == [len(fingerprints)] == [2]
+        assert after_first == [len(fingerprints)] == [1]
 
     def test_pickled_adc_tracks_every_block(self, deltas):
         """A campaign's ADC after a pickle round trip -- what a spawn or

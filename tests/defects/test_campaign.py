@@ -161,6 +161,21 @@ class TestBlockCampaigns:
         assert len(seen) == len(campaign.universe.by_block("offset_compensation"))
         assert seen[0][1] == seen[-1][1] == len(seen)
 
+    def test_likelihood_model_weights_records(self, deltas):
+        """Records carry the campaign's own likelihood model."""
+        from repro.defects import LikelihoodModel
+        base = DefectCampaign(adc=SarAdc(), deltas=deltas).run(
+            SamplingPlan(exhaustive=True), blocks=["rs_latch"])
+        skewed = DefectCampaign(
+            adc=SarAdc(), deltas=deltas,
+            likelihood_model=LikelihoodModel(
+                block_scale={"rs_latch": 7.0})).run(
+            SamplingPlan(exhaustive=True), blocks=["rs_latch"])
+        for base_rec, skew_rec in zip(base.records, skewed.records):
+            assert skew_rec.defect.defect_id == base_rec.defect.defect_id
+            assert skew_rec.defect.likelihood == \
+                pytest.approx(7.0 * base_rec.defect.likelihood)
+
     def test_undetected_defects_listing(self, campaign, rng):
         result = campaign.run(SamplingPlan(exhaustive=True),
                               blocks=["offset_compensation"], rng=rng)
@@ -209,15 +224,34 @@ class TestRunPerBlockSeeding:
         assert _sweep_digest(alone)["vcm_generator"] == \
             _sweep_digest(full)["vcm_generator"]
 
+    def test_progress_indexes_the_whole_sweep(self, deltas):
+        seen = []
+        results = self._run(deltas, blocks=self.BLOCKS,
+                            progress=lambda i, n, rec: seen.append((i, n)))
+        total = sum(result.n_simulated for result in results.values())
+        assert seen == [(i, total) for i in range(total)]
+
     def test_empty_block_list_rejected(self, deltas):
         with pytest.raises(CoverageError):
             self._run(deltas, blocks=[])
 
     def test_single_engine_report_spans_the_sweep(self, deltas):
-        results = self._run(deltas, blocks=self.BLOCKS)
+        """The same sweep as a block study: one engine report spans every
+        block, and the records equal the plain loop's."""
+        from repro.studies import BLOCK_STUDY, build_study
+        outcome = build_study(BLOCK_STUDY.override({
+            "seed": 7, "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": self.BLOCKS, "campaign.samples": 10,
+            "campaign.exhaustive_threshold": 20})).run()
+        results = outcome.results
         reports = [result.engine_report for result in results.values()]
-        assert all(report is reports[0] for report in reports)
-        assert reports[0].n_tasks == sum(r.n_simulated
-                                         for r in results.values())
+        assert all(report is outcome.report for report in reports)
+        assert outcome.report.stage_items["campaign"] == sum(
+            r.n_simulated for r in results.values())
         # Per-block timings are still split out via the task groups.
-        assert set(reports[0].group_durations) == set(self.BLOCKS)
+        assert set(self.BLOCKS) <= set(outcome.report.group_durations)
+        plain = DefectCampaign(adc=SarAdc(),
+                               deltas=outcome.calibration.deltas)
+        assert _sweep_digest(results) == _sweep_digest(
+            plain.run_per_block(n_samples_per_block=10, seed=7,
+                                exhaustive_threshold=20, blocks=self.BLOCKS))

@@ -5,22 +5,18 @@ the results: whatever shards the work, the windows, detections, coverage and
 engine-report counts must be *bit-identical* to the serial run.  Instead of
 pinning a handful of hand-picked workloads, this suite draws ~20 randomized
 campaign specs from one seeded generator (so every run of the suite sees the
-same cases) spanning the five drivers -- defect campaigns, window
-calibration, the yield-loss sweep, the calibrate->campaign graph and the
-per-block study graph -- and checks each pool backend against a memoized
-serial baseline.
+same cases) spanning five study shapes -- single-block defect campaigns,
+window calibration, the yield-loss sweep, the calibrate->campaign graph and
+the per-block study graph -- and checks each pool backend against a
+memoized serial baseline.
 """
 
 import numpy as np
 import pytest
 
-from repro.adc import SarAdc
-from repro.analysis import yield_loss_sweep
-from repro.core import collect_defect_free_residuals
-from repro.core.calibration import windows_from_pools
-from repro.defects import DefectCampaign, SamplingPlan
 from repro.engine import MultiprocessBackend, SerialBackend
-from repro.studies import BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN, build_study
+from repro.studies import (BLOCK_STUDY, CALIBRATE, CALIBRATE_THEN_CAMPAIGN,
+                           StageSpec, StudySpec, build_study)
 
 #: Entropy of the case generator: fixed so the ~20 cases are stable across
 #: runs (reproducible failures) while still randomly covering the spec space.
@@ -83,73 +79,86 @@ def _report_counts(report):
             report.n_failed, report.n_skipped)
 
 
-def _run_case(case, backend, deltas, calibration, batch_size=1):
-    """Execute one randomized spec; return its full comparable signature."""
+def case_spec(case, batch_size=1):
+    """The study spec of one randomized case."""
     kind = case["kind"]
     if kind == "campaign":
-        campaign = DefectCampaign(
-            adc=SarAdc(), deltas=deltas,
-            stop_on_detection=case["stop_on_detection"])
-        plan = SamplingPlan(exhaustive=case["exhaustive"],
-                            n_samples=case["n_samples"])
-        result = campaign.run(plan, blocks=[case["block"]],
-                              rng=np.random.default_rng(case["seed"]),
-                              backend=backend, batch_size=batch_size)
-        report = result.block_report(case["block"])
-        return {"records": _campaign_key(result),
-                "detections": result.detections_by_invariance(),
-                "coverage": (report.coverage.value,
-                             report.coverage.ci_half_width),
-                "counts": _report_counts(result.engine_report)}
-    if kind == "calibration":
-        pools = collect_defect_free_residuals(
-            n_monte_carlo=case["n_mc"],
-            rng=np.random.default_rng(case["seed"]), backend=backend)
-        return {"pools": pools,
-                "windows": windows_from_pools(pools, case["k"])}
-    if kind == "yield":
-        points = yield_loss_sweep(calibration, k_values=case["k_values"],
-                                  backend=backend)
-        return {"points": points}
-    if kind == "pipeline":
-        # A dependency graph (the other drivers run flat ones).
-        outcome = build_study(CALIBRATE_THEN_CAMPAIGN.override({
+        # One block at the case's stop-on-detection setting, LWRS unless
+        # the case exhausts it (threshold 0: every non-exhaustive block is
+        # sampled).
+        return CALIBRATE_THEN_CAMPAIGN.override({
             "seed": case["seed"], "calibrate.n_monte_carlo": 3,
             "campaign.blocks": [case["block"]],
-            "campaign.samples": case["n_samples"]})).run(backend=backend)
-        result = outcome.results[case["block"]]
-        return {"windows": (outcome.calibration.sigmas,
-                            outcome.calibration.means,
-                            outcome.calibration.deltas),
-                "records": _campaign_key(result),
-                "counts": _report_counts(outcome.report)}
-    # block-study: per-block windows, detections and coverage of a multi-
-    # block sweep must be bit-identical whatever backend runs the graph.
-    outcome = build_study(BLOCK_STUDY.override({
+            "campaign.samples": case["n_samples"],
+            "campaign.exhaustive": case["exhaustive"],
+            "campaign.exhaustive_threshold": 0,
+            "campaign.stop_on_detection": case["stop_on_detection"],
+            "campaign.batch_size": batch_size})
+    if kind == "calibration":
+        return CALIBRATE.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": case["n_mc"],
+            "windows.k": case["k"]})
+    if kind == "yield":
+        return StudySpec(
+            name="yield-sweep", seed=case["seed"],
+            stages=(StageSpec(stage="calibrate",
+                              params={"n_monte_carlo": 4}),
+                    StageSpec(stage="yield", after=("calibrate",),
+                              params={"k_values": list(case["k_values"])})))
+    if kind == "pipeline":
+        return CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": case["seed"], "calibrate.n_monte_carlo": 3,
+            "campaign.blocks": [case["block"]],
+            "campaign.samples": case["n_samples"]})
+    return BLOCK_STUDY.override({
         "seed": case["seed"], "calibrate.n_monte_carlo": 3,
         "campaign.blocks": case["blocks"],
         "campaign.samples": case["n_samples"],
         "campaign.exhaustive_threshold": case["threshold"],
-        "campaign.batch_size": batch_size})).run(backend=backend)
-    return {"windows": {block: (cal.sigmas, cal.means, cal.deltas)
-                        for block, cal in outcome.calibrations.items()},
-            "records": {block: _campaign_key(result)
-                        for block, result in outcome.results.items()},
-            "coverage": {block: (summary["coverage"],
-                                 summary["ci_half_width"],
-                                 summary["n_detected"])
-                         for block, summary in outcome.summaries.items()},
-            "counts": _report_counts(outcome.report)}
+        "campaign.batch_size": batch_size})
+
+
+def _run_case(case, backend, batch_size=1):
+    """Execute one randomized spec; return its full comparable signature."""
+    outcome = build_study(case_spec(case, batch_size)).run(backend=backend)
+    kind = case["kind"]
+    signature = {"counts": _report_counts(outcome.report)}
+    if kind == "calibration":
+        # Pools in Monte Carlo sample order, then the derived windows.
+        signature["pools"] = outcome.stage_results("calibrate")
+    if kind == "yield":
+        signature["points"] = outcome.yield_points
+    else:
+        signature["windows"] = {
+            block: (cal.sigmas, cal.means, cal.deltas)
+            for block, cal in outcome.calibrations.items()}
+    if kind in ("campaign", "pipeline", "block-study"):
+        signature["records"] = {block: _campaign_key(result)
+                                for block, result in outcome.results.items()}
+    if kind == "campaign":
+        result = outcome.results[case["block"]]
+        report = result.block_report(case["block"])
+        signature["detections"] = result.detections_by_invariance()
+        signature["coverage"] = (report.coverage.value,
+                                 report.coverage.ci_half_width)
+    if kind == "block-study":
+        # Per-block windows, detections and coverage of a multi-block sweep
+        # must be bit-identical whatever backend runs the graph.
+        signature["coverage"] = {
+            block: (summary["coverage"], summary["ci_half_width"],
+                    summary["n_detected"])
+            for block, summary in outcome.summaries.items()}
+    return signature
 
 
 @pytest.mark.parametrize("backend_name", ["multiprocess"])
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
-def test_pool_backend_matches_serial(case, backend_name, deltas, calibration):
+def test_pool_backend_matches_serial(case, backend_name):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     backend = MultiprocessBackend(max_workers=2)
-    assert _run_case(case, backend, deltas, calibration) == \
+    assert _run_case(case, backend) == \
         _SERIAL_BASELINE[case["id"]]
 
 
@@ -178,16 +187,14 @@ def _strip_counts(signature):
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("case", BATCH_CASES,
                          ids=[c["id"] for c in BATCH_CASES])
-def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name,
-                                              deltas, calibration):
+def test_batched_run_matches_unbatched_serial(case, batch_size, backend_name):
     """Campaign results are bit-identical for every (batch size, backend)."""
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     backend = SerialBackend() if backend_name == "serial" \
         else MultiprocessBackend(max_workers=2)
-    batched = _run_case(case, backend, deltas, calibration,
-                        batch_size=batch_size)
+    batched = _run_case(case, backend, batch_size=batch_size)
     assert _strip_counts(batched) == \
         _strip_counts(_SERIAL_BASELINE[case["id"]])
 
@@ -212,17 +219,15 @@ def socket_backend():
 
 @pytest.mark.parametrize("case", SOCKET_CASES,
                          ids=[c["id"] for c in SOCKET_CASES])
-def test_socket_backend_matches_serial(case, socket_backend, deltas,
-                                       calibration):
+def test_socket_backend_matches_serial(case, socket_backend):
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
-    assert _run_case(case, socket_backend, deltas, calibration) == \
+            case, SerialBackend())
+    assert _run_case(case, socket_backend) == \
         _SERIAL_BASELINE[case["id"]]
 
 
-def test_socket_backend_with_worker_death_matches_serial(deltas,
-                                                         calibration):
+def test_socket_backend_with_worker_death_matches_serial():
     """A worker dying mid-run only costs a requeue, never a result change:
     the victim's in-flight task re-executes on a survivor with the same
     per-task seed, so the full signature stays bit-identical."""
@@ -230,9 +235,9 @@ def test_socket_backend_with_worker_death_matches_serial(deltas,
     case = SOCKET_CASES[0]  # a campaign: the largest task population
     if case["id"] not in _SERIAL_BASELINE:
         _SERIAL_BASELINE[case["id"]] = _run_case(
-            case, SerialBackend(), deltas, calibration)
+            case, SerialBackend())
     with SocketBackend("tcp:127.0.0.1:0") as backend:
         backend.spawn_worker(crash_after=2)  # dies on its third task
         backend.spawn_worker()
-        assert _run_case(case, backend, deltas, calibration) == \
+        assert _run_case(case, backend) == \
             _SERIAL_BASELINE[case["id"]]

@@ -17,16 +17,19 @@ class TestParser:
         exit status 2, not an argparse required-argument error."""
         assert main([]) == 2
         err = capsys.readouterr().err
-        for name in ("run", "calibrate", "campaign", "cache"):
+        for name in ("run", "cache"):
             assert f"\n  {name} " in err
-        for removed in ("pipeline", "block-study", "yield-study"):
+        for removed in ("pipeline", "block-study", "yield-study",
+                        "calibrate", "campaign"):
             assert f"\n  {removed} " not in err
         assert "the following arguments are required" not in err
 
     def test_removed_study_subcommands_are_rejected(self, capsys):
-        """The per-study aliases are gone: `run <canned-name>` replaces
-        them, so argparse rejects them like any unknown subcommand."""
-        for removed in ("pipeline", "block-study", "yield-study"):
+        """The per-study aliases and the calibrate/campaign subcommands are
+        gone: `run <canned-name>` replaces them, so argparse rejects them
+        like any unknown subcommand."""
+        for removed in ("pipeline", "block-study", "yield-study",
+                        "calibrate", "campaign"):
             with pytest.raises(SystemExit) as excinfo:
                 main([removed, "--monte-carlo", "3"])
             assert excinfo.value.code == 2
@@ -55,44 +58,46 @@ class TestParser:
     def test_mp_context_flag(self):
         from repro.engine.cli import _build_backend
         args = build_parser().parse_args(
-            ["campaign", "--workers", "2", "--mp-context", "spawn"])
+            [*RUN, "--workers", "2", "--mp-context", "spawn"])
         assert args.mp_context == "spawn"
         assert _build_backend(args).mp_context == "spawn"
-        assert build_parser().parse_args(["campaign"]).mp_context is None
+        assert build_parser().parse_args(RUN).mp_context is None
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["campaign", "--mp-context", "threads"])
+            build_parser().parse_args([*RUN, "--mp-context", "threads"])
 
     def test_backend_choices(self):
-        args = build_parser().parse_args(
-            ["campaign", "--backend", "multiprocess"])
+        args = build_parser().parse_args([*RUN, "--backend", "multiprocess"])
         assert args.backend == "multiprocess"
-        assert build_parser().parse_args(["campaign"]).backend is None
+        assert build_parser().parse_args(RUN).backend is None
         for removed in ("bogus", "shm"):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["campaign", "--backend", removed])
+                build_parser().parse_args([*RUN, "--backend", removed])
 
     def test_backend_resolution(self):
         from repro.engine.cli import _build_backend
         assert _build_backend(
-            build_parser().parse_args(["campaign"])).name == "serial"
+            build_parser().parse_args(RUN)).name == "serial"
         assert _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2"])).name == "multiprocess"
+            [*RUN, "--workers", "2"])).name == "multiprocess"
         pool = _build_backend(build_parser().parse_args(
-            ["campaign", "--workers", "2", "--backend", "multiprocess"]))
+            [*RUN, "--workers", "2", "--backend", "multiprocess"]))
         assert pool.name == "multiprocess"
         assert pool.workers == 2
         # an explicit pool backend with --workers 1 still runs a 1-wide pool
         single = _build_backend(build_parser().parse_args(
-            ["campaign", "--backend", "multiprocess"]))
+            [*RUN, "--backend", "multiprocess"]))
         assert single.name == "multiprocess" and single.workers == 1
 
     def test_batch_size_flag(self):
-        assert build_parser().parse_args(["campaign"]).batch_size == 1
-        args = build_parser().parse_args(["campaign", "--batch-size", "64"])
-        assert args.batch_size == 64
-        with pytest.raises(SystemExit):  # must be a positive int
-            build_parser().parse_args(["campaign", "--batch-size", "0"])
+        """The old `--batch-size` flag is the `campaign.batch_size` spec
+        entry: default 1, any positive value, and 0 is refused before
+        anything runs."""
+        from repro.circuit import EngineError
+        assert _campaign_params(RUN)["batch_size"] == 1
+        assert _campaign_params(
+            [*RUN, "--set", "campaign.batch_size=64"])["batch_size"] == 64
+        with pytest.raises(EngineError):  # must be a positive int
+            _study_plan([*RUN, "--set", "campaign.batch_size=0"])
 
     def test_cache_subcommands(self):
         args = build_parser().parse_args(
@@ -107,18 +112,27 @@ class TestParser:
             build_parser().parse_args(["cache", "stats"])
 
     def test_campaign_defaults(self):
-        args = build_parser().parse_args(["campaign"])
+        """`run calibrate-then-campaign` keeps the old `campaign`
+        subcommand's defaults: seed 1, 50 Monte Carlo samples, k = 5,
+        60 LWRS samples, threshold 120, stop on detection, serial and
+        uncached."""
+        args = build_parser().parse_args(RUN)
         assert args.workers == 1
         assert args.cache_dir is None
-        assert args.samples == 60
-        assert not args.no_stop_on_detection
+        plan = _study_plan(RUN)
+        assert (plan.spec.seed, plan.n_monte_carlo, plan.k) == (1, 50, 5.0)
+        assert plan.stop_on_detection
+        params = _campaign_params(RUN)
+        assert params["samples"] == 60
+        assert params["exhaustive_threshold"] == 120
 
     def test_calibrate_options(self):
-        args = build_parser().parse_args(
-            ["calibrate", "--monte-carlo", "7", "--workers", "3", "--k", "4"])
-        assert args.monte_carlo == 7
-        assert args.workers == 3
-        assert args.k == 4.0
+        argv = ["run", "calibrate", "--set", "calibrate.n_monte_carlo=7",
+                "--workers", "3", "--set", "windows.k=4"]
+        assert build_parser().parse_args(argv).workers == 3
+        plan = _study_plan(argv)
+        assert plan.n_monte_carlo == 7
+        assert plan.k == 4.0
 
     def test_cache_eviction_options(self):
         args = build_parser().parse_args(
@@ -128,26 +142,60 @@ class TestParser:
         assert args.cache_max_age == 3600.0
 
 
+#: A canned campaign study: the parse target of the option tests.
+RUN = ["run", "calibrate-then-campaign"]
+
+
+def _study_spec(argv):
+    from repro.engine.cli import _load_spec_with_overrides
+    return _load_spec_with_overrides(build_parser().parse_args(argv))
+
+
+def _study_plan(argv):
+    from repro.studies import build_study
+    return build_study(_study_spec(argv))
+
+
+def _campaign_params(argv):
+    """The resolved campaign-stage parameters of `run` arguments."""
+    from repro.engine.registry import stage_definition
+    spec = _study_spec(argv)
+    entry = next(stage for stage in spec.stages if stage.stage == "campaign")
+    return stage_definition("campaign").resolve_params(
+        spec.params, entry.params, "campaign")
+
+
 class TestCalibrateCommand:
     def test_writes_json(self, tmp_path, capsys):
+        """`run calibrate` writes the whole window calibration, equal to
+        `calibrate_windows` under the same seed."""
+        import numpy as np
+        from repro.core import calibrate_windows
         out = tmp_path / "cal.json"
-        status = main(["calibrate", "--monte-carlo", "3",
+        status = main(["run", "calibrate", "--set", "calibrate.n_monte_carlo=3",
                        "--json", str(out)])
         assert status == 0
         payload = json.loads(out.read_text())
         assert set(payload["deltas"]) == {"msb_sum", "lsb_sum", "dac_sum",
                                           "preamp_cm", "sign", "latch_sum"}
         assert payload["k"] == 5.0
+        assert payload["n_samples"] == 3
+        calibration = calibrate_windows(n_monte_carlo=3,
+                                        rng=np.random.default_rng(1))
+        for key in ("sigmas", "means", "deltas"):
+            assert payload[key] == getattr(calibration, key), key
+        assert "blocks" not in payload
         assert "SymBIST window calibration" in capsys.readouterr().out
 
 
 class TestCampaignCommand:
+    """`run calibrate-then-campaign`, the old `campaign` subcommand."""
+
     def test_block_campaign_with_cache_and_workers(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         out = tmp_path / "campaign.json"
-        argv = ["campaign", "--blocks", "vcm_generator",
-                "--monte-carlo", "3", "--workers", "2",
-                "--cache-dir", str(cache_dir), "--json", str(out)]
+        argv = [*RUN, "--workers", "2", "--cache-dir", str(cache_dir),
+                "--json", str(out)] + _study_overrides()
         assert main(argv) == 0
         cold = json.loads(out.read_text())
         assert cold["blocks"][0]["block"] == "vcm_generator"
@@ -169,27 +217,28 @@ class TestCampaignCommand:
         assert "(100%)" in warm["engine"]
 
     def test_bare_blocks_flag_means_every_block(self, tmp_path):
-        """`--blocks` with no values (argparse yields []) runs all blocks,
-        exactly like omitting the flag."""
+        """An empty `campaign.blocks` (the old bare `--blocks`) runs all
+        blocks, exactly like omitting it."""
         out = tmp_path / "out.json"
-        assert main(["campaign", "--monte-carlo", "3", "--samples", "5",
-                     "--blocks", "--json", str(out)]) == 0
+        assert main([*RUN, "--json", str(out)] + _study_overrides(
+            **{"campaign.samples": 5, "campaign.blocks": ""})) == 0
         payload = json.loads(out.read_text())
         assert len(payload["blocks"]) == 10  # every A/M-S block
         assert "engine" in payload
 
     def test_block_subset_is_order_invariant(self, tmp_path):
-        """--blocks A B and --blocks B A simulate the same defects."""
+        """Blocks A,B and B,A simulate the same defects."""
         out = tmp_path / "out.json"
-        common = ["campaign", "--monte-carlo", "3", "--seed", "5",
-                  "--samples", "10", "--exhaustive-threshold", "20",
-                  "--json", str(out)]
-        assert main(common + ["--blocks", "vcm_generator",
-                              "offset_compensation"]) == 0
-        forward = json.loads(out.read_text())
-        assert main(common + ["--blocks", "offset_compensation",
-                              "vcm_generator"]) == 0
-        backward = json.loads(out.read_text())
+
+        def run(blocks):
+            assert main([*RUN, "--json", str(out)] + _study_overrides(
+                **{"seed": 5, "campaign.samples": 10,
+                   "campaign.exhaustive_threshold": 20,
+                   "campaign.blocks": blocks})) == 0
+            return json.loads(out.read_text())
+
+        forward = run("vcm_generator,offset_compensation")
+        backward = run("offset_compensation,vcm_generator")
         by_block = lambda payload: {b["block"]: (b["n_simulated"],
                                                  b["n_detected"],
                                                  b["coverage"])
@@ -207,27 +256,33 @@ def _study_overrides(**overrides):
 
 class TestPipelineCommand:
     def test_matches_two_invocation_flow(self, tmp_path, capsys):
-        """`run calibrate-then-campaign --workers 2` == `calibrate` +
-        `campaign` run serially."""
+        """`run calibrate-then-campaign --workers 2` == `run calibrate`
+        followed by a plain `DefectCampaign.run` with its windows."""
+        import numpy as np
+        from repro.adc import SarAdc
+        from repro.defects import DefectCampaign, SamplingPlan
         pipe_out = tmp_path / "pipe.json"
-        camp_out = tmp_path / "camp.json"
+        cal_out = tmp_path / "cal.json"
         assert main(["run", "calibrate-then-campaign", "--workers", "2",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--json", str(pipe_out)] + _study_overrides()) == 0
-        assert main(["campaign", "--json", str(camp_out),
-                     "--monte-carlo", "3", "--blocks", "vcm_generator",
-                     "--seed", "1"]) == 0
+        assert main(["run", "calibrate", "--json", str(cal_out),
+                     "--set", "calibrate.n_monte_carlo=3"]) == 0
 
         pipe = json.loads(pipe_out.read_text())
-        camp = json.loads(camp_out.read_text())
-        assert pipe["deltas"] == camp["deltas"]
-        for p, c in zip(pipe["blocks"], camp["blocks"]):
-            assert p["block"] == c["block"]
-            assert p["n_simulated"] == c["n_simulated"]
-            assert p["n_detected"] == c["n_detected"]
-            assert p["n_escaped"] == c["n_escaped"]
-            assert p["coverage"] == c["coverage"]
-            assert p["ci_half_width"] == c["ci_half_width"]
+        cal = json.loads(cal_out.read_text())
+        assert pipe["deltas"] == cal["deltas"]
+        campaign = DefectCampaign(adc=SarAdc(), deltas=cal["deltas"])
+        result = campaign.run(SamplingPlan(exhaustive=True),
+                              blocks=["vcm_generator"],
+                              rng=np.random.default_rng(1))
+        report = result.block_report("vcm_generator")
+        (block,) = pipe["blocks"]
+        assert block["block"] == "vcm_generator"
+        assert block["n_simulated"] == report.n_simulated
+        assert block["n_detected"] == result.n_detected
+        assert block["coverage"] == report.coverage.value
+        assert block["ci_half_width"] == report.coverage.ci_half_width
         assert "calibrate-then-campaign stage 2" in capsys.readouterr().out
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
@@ -246,20 +301,17 @@ class TestPipelineCommand:
 
 class TestBlockStudyCommand:
     def test_matches_sequential_campaign_flow(self, tmp_path, capsys):
-        """`run block-study` == `campaign` (one graph vs calibrate +
-        per-block sweep) under the same seed, with the identical JSON
-        schema."""
+        """`run block-study` == `run calibrate-then-campaign` (per-block
+        windows and summaries vs one global calibration and a per-block
+        sweep) under the same seed, with the identical JSON schema."""
         study_out = tmp_path / "study.json"
         camp_out = tmp_path / "camp.json"
-        assert main(["run", "block-study", "--workers", "2",
-                     "--json", str(study_out)] + _study_overrides(
+        overrides = _study_overrides(
             **{"campaign.samples": 10, "campaign.exhaustive_threshold": 20,
-               "campaign.blocks": "vcm_generator,offset_compensation"})) == 0
-        assert main(["campaign", "--json", str(camp_out),
-                     "--monte-carlo", "3", "--seed", "1", "--samples", "10",
-                     "--exhaustive-threshold", "20",
-                     "--blocks", "vcm_generator",
-                     "offset_compensation"]) == 0
+               "campaign.blocks": "vcm_generator,offset_compensation"})
+        assert main(["run", "block-study", "--workers", "2",
+                     "--json", str(study_out)] + overrides) == 0
+        assert main([*RUN, "--json", str(camp_out)] + overrides) == 0
 
         study = json.loads(study_out.read_text())
         camp = json.loads(camp_out.read_text())
@@ -316,13 +368,9 @@ class TestBlockStudyCommand:
 
 class TestPerBlockJsonSchema:
     def test_identical_keys_across_subcommands(self, tmp_path):
-        """campaign and `run` of every canned study emit the same per-block
+        """`run` of every canned campaign study emits the same per-block
         keys, with the engine report at the top level only."""
         payloads = {}
-        out = tmp_path / "campaign.json"
-        assert main(["campaign", "--json", str(out), "--monte-carlo", "3",
-                     "--seed", "1", "--blocks", "vcm_generator"]) == 0
-        payloads["campaign"] = json.loads(out.read_text())
         for name, extra in [("calibrate-then-campaign", {}),
                             ("block-study", {}),
                             ("yield-loss-study",
@@ -342,11 +390,10 @@ class TestPerBlockJsonSchema:
             assert "engine" not in block, name
             assert "engine_wall_time" not in block["timing"], name
             assert "cache_hit_rate" not in block["timing"], name
-            # Same seed, same draws: the numbers agree across subcommands.
-            assert block["coverage"] == \
-                payloads["campaign"]["blocks"][0]["coverage"], name
-            assert block["n_detected"] == \
-                payloads["campaign"]["blocks"][0]["n_detected"], name
+            # Same seed, same draws: the numbers agree across studies.
+            reference = payloads["calibrate-then-campaign"]["blocks"][0]
+            assert block["coverage"] == reference["coverage"], name
+            assert block["n_detected"] == reference["n_detected"], name
 
 
 class TestRunCommand:
@@ -436,8 +483,9 @@ class TestYieldStudyCommand:
 
 class TestCacheCommand:
     def _warm_cache(self, tmp_path):
+        """Three Monte Carlo artifacts plus the windows reduction."""
         cache_dir = tmp_path / "cache"
-        assert main(["calibrate", "--monte-carlo", "3",
+        assert main(["run", "calibrate", "--set", "calibrate.n_monte_carlo=3",
                      "--cache-dir", str(cache_dir)]) == 0
         return cache_dir
 
@@ -447,10 +495,10 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir),
                      "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["artifacts"] == 3
+        assert payload["artifacts"] == 4
         assert payload["total_bytes"] > 0
         assert payload["oldest_age"] >= payload["newest_age"] >= 0
-        assert f"3 artifacts" in capsys.readouterr().out
+        assert f"4 artifacts" in capsys.readouterr().out
 
     def test_stats_counts_expired(self, tmp_path, capsys):
         cache_dir = self._warm_cache(tmp_path)
@@ -465,9 +513,9 @@ class TestCacheCommand:
                      "--cache-max-age", "0.000001",
                      "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["evicted"] == 3
+        assert payload["evicted"] == 4
         assert payload["artifacts"] == 0
-        assert "evicted 3 artifacts" in capsys.readouterr().out
+        assert "evicted 4 artifacts" in capsys.readouterr().out
 
     def test_evict_requires_a_bound(self, tmp_path, capsys):
         assert main(["cache", "evict",
@@ -477,16 +525,18 @@ class TestCacheCommand:
 
 class TestPipelineCacheSharing:
     def test_calibrate_artifacts_are_shared_with_pipeline(self, tmp_path):
-        """`calibrate --cache-dir X` warms the pipeline's calibrate stage."""
+        """`run calibrate --cache-dir X` warms the pipeline's calibrate and
+        windows stages."""
         cache = str(tmp_path / "cache")
-        assert main(["calibrate", "--monte-carlo", "3", "--seed", "1",
-                     "--cache-dir", cache]) == 0
+        assert main(["run", "calibrate", "--set", "calibrate.n_monte_carlo=3",
+                     "--set", "seed=1", "--cache-dir", cache]) == 0
         out = tmp_path / "out.json"
         assert main(["run", "calibrate-then-campaign", "--cache-dir", cache,
                      "--json", str(out)] + _study_overrides()) == 0
         engine = json.loads(out.read_text())["engine"]
-        # 3 Monte Carlo parents replayed from the standalone calibrate run.
-        assert "3 cached" in engine
+        # 3 Monte Carlo parents and their windows reduction replayed from
+        # the standalone calibrate run.
+        assert "4 cached" in engine
 
 
 class TestWarehouseCommand:

@@ -42,12 +42,14 @@ class TestFullSymBistFlow:
 
         With a behavioral substrate the absolute value differs; the check is
         that the overall likelihood-weighted coverage lands in the same high
-        band (>= 70 %) with the same qualitative block ranking.
+        band (>= 70 %).  The whole 2775-defect universe is cheap to exhaust,
+        so the exact L-W coverage under the shared fixture windows is pinned
+        instead of one LWRS draw that sits on the bound.
         """
         campaign = DefectCampaign(adc=SarAdc(), deltas=deltas)
-        result = campaign.run(SamplingPlan(exhaustive=False, n_samples=120),
-                              rng=np.random.default_rng(17))
-        assert result.overall_report().coverage.value >= 0.70
+        result = campaign.run(SamplingPlan(exhaustive=True))
+        assert result.n_simulated == 2775
+        assert result.overall_report().coverage.value == 0.7319113897400447
 
     def test_block_ranking_matches_table1_shape(self, deltas):
         """High-coverage blocks (SC array, bandgap) must rank above the

@@ -7,7 +7,7 @@ import pytest
 from repro.circuit import CalibrationError, EngineError
 from repro.engine import (MultiprocessBackend, ResultCache, STATUS_CACHED,
                           STATUS_EXECUTED, STATUS_FAILED, STATUS_SKIPPED)
-from repro.studies import (BLOCK_STUDY, CALIBRATE_THEN_CAMPAIGN,
+from repro.studies import (BLOCK_STUDY, CALIBRATE, CALIBRATE_THEN_CAMPAIGN,
                            YIELD_LOSS_STUDY, build_study)
 
 BLOCK = "vcm_generator"
@@ -29,8 +29,8 @@ def _calibrate_then_campaign(**overrides):
 
 
 def _manual_flow():
-    """The two-invocation flow, as `repro-campaign calibrate` followed by
-    `repro-campaign campaign` runs it."""
+    """The two-step flow: a window calibration followed by a plain
+    campaign with its windows."""
     from repro.adc import SarAdc
     from repro.core import calibrate_windows
     from repro.defects import DefectCampaign, SamplingPlan
@@ -269,12 +269,11 @@ class TestBlockStudy:
 
     def test_calibrate_artifacts_shared_with_standalone_calibrate(
             self, tmp_path):
-        """The calibrate stage replays `calibrate_windows` artifacts."""
-        from repro.core import calibrate_windows
+        """The calibrate stage replays the `calibrate` study's artifacts."""
         cache = ResultCache(str(tmp_path / "cache"),
                             namespace="calibration")
-        calibrate_windows(k=5.0, n_monte_carlo=MC,
-                          rng=np.random.default_rng(SEED), cache=cache)
+        build_study(CALIBRATE.override({
+            "seed": SEED, "calibrate.n_monte_carlo": MC})).run(cache=cache)
         outcome = self._study(
             cache=ResultCache(str(tmp_path / "cache"),
                               namespace="calibration"))
@@ -405,3 +404,40 @@ class TestYieldLossStudy:
             _yield_loss_study(**{"yield.k_values": ()})
         with pytest.raises(EngineError):
             _yield_loss_study(**{"yield.n_cycles": 0})
+
+
+# ------------------------------------------------------------ calibrate
+class TestCalibrateStudy:
+    @pytest.mark.parametrize("backend", [
+        None,
+        MultiprocessBackend(max_workers=2),
+    ], ids=["serial", "multiprocess"])
+    def test_equals_calibrate_windows(self, backend):
+        from repro.core import calibrate_windows
+        outcome = build_study(CALIBRATE.override({
+            "seed": SEED, "calibrate.n_monte_carlo": MC})).run(
+            backend=backend)
+        manual = calibrate_windows(k=5.0, n_monte_carlo=MC,
+                                   rng=np.random.default_rng(SEED))
+        calibration = outcome.calibration
+        assert (calibration.k, calibration.n_samples) == (5.0, MC)
+        assert calibration.sigmas == manual.sigmas
+        assert calibration.means == manual.means
+        assert calibration.deltas == manual.deltas
+
+    def test_only_calibration_payloads_carry_sigmas(self):
+        """The calibration statistics join the payload of a study without
+        campaign or yield stages; every other payload keeps its schema."""
+        from repro.studies import study_payload
+        spec = CALIBRATE.override({"seed": SEED,
+                                   "calibrate.n_monte_carlo": MC})
+        plan = build_study(spec)
+        payload = study_payload(spec, plan, plan.run(), workers=1)
+        assert {"sigmas", "means", "n_samples", "deltas"} <= set(payload)
+        assert payload["n_samples"] == MC
+        campaign_spec = CALIBRATE_THEN_CAMPAIGN.override({
+            "seed": SEED, "calibrate.n_monte_carlo": MC,
+            "campaign.blocks": ["offset_compensation"]})
+        plan = build_study(campaign_spec)
+        payload = study_payload(campaign_spec, plan, plan.run(), workers=1)
+        assert not {"sigmas", "means", "n_samples"} & set(payload)

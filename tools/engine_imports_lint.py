@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Engine import linter run by CI (and locally: ``python tools/engine_imports_lint.py``).
+"""Layer import linter run by CI (and locally: ``python tools/engine_imports_lint.py``).
+
+It guards both directions of the engine/domain split.
 
 ``repro.engine`` is the generic campaign engine: tasks, the scheduler,
 backends, cache, telemetry, traces, the ``Pipeline`` API and the stage
@@ -18,6 +20,12 @@ function-local alike, absolute and relative:
 * ``cli.py`` -- the ``repro-campaign`` application entry point, which
   drives every layer -- is exempt.
 
+The domain layers -- ``repro.adc``, ``core``, ``defects``, ``analysis`` and
+``functional_test`` -- are plain loops over plain values; ``repro.studies``
+is the only layer that turns them into task graphs.  A domain module may
+import nothing from ``repro.engine`` or ``repro.studies`` (checked the same
+way, every ``.py`` file of each package).
+
 Exits non-zero with one ``file:line`` per offence.
 """
 
@@ -26,7 +34,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
-from typing import Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENGINE_DIR = os.path.join("src", "repro", "engine")
@@ -35,6 +43,9 @@ PACKAGE = "repro.engine"
 EXEMPT = {"cli.py"}
 ALLOWED = ("repro.engine", "repro.circuit.errors", "repro.__version__")
 INIT_ALLOWED = ALLOWED + ("repro.studies",)
+
+DOMAIN_PACKAGES = ("adc", "core", "defects", "analysis", "functional_test")
+DOMAIN_FORBIDDEN = ("repro.engine", "repro.studies")
 
 
 def _covered(target: str, allowed: tuple) -> bool:
@@ -72,24 +83,41 @@ def imported_targets(tree: ast.AST, package: str) -> Iterator[tuple]:
                 yield node.lineno, f"{module}.{alias.name}"
 
 
-def lint_file(path: str, rel_path: str) -> List[str]:
-    name = os.path.basename(path)
+def _engine_offence(target: str, name: str) -> Optional[str]:
     allowed = INIT_ALLOWED if name == "__init__.py" else ALLOWED
+    if _covered(target, allowed):
+        return None
+    return f"engine imports {target}; only {', '.join(allowed)} allowed"
+
+
+def _domain_offence(target: str, name: str) -> Optional[str]:
+    if not _covered(target, DOMAIN_FORBIDDEN):
+        return None
+    return (f"domain layer imports {target}; "
+            f"{' and '.join(DOMAIN_FORBIDDEN)} are off limits")
+
+
+def lint_file(path: str, rel_path: str, package: str = PACKAGE,
+              offence: Callable[[str, str], Optional[str]] = _engine_offence
+              ) -> List[str]:
+    """Offences of one module of ``package``, as judged by ``offence``."""
+    name = os.path.basename(path)
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=rel_path)
     problems = []
-    for lineno, target in imported_targets(tree, PACKAGE):
+    for lineno, target in imported_targets(tree, package):
         top = target.lstrip(".").split(".")[0]
         if top != "repro" and not target.startswith("."):
             continue  # stdlib / third party
-        if not _covered(target, allowed):
-            problems.append(f"{rel_path}:{lineno}: engine imports "
-                            f"{target}; only {', '.join(allowed)} allowed")
+        problem = offence(target, name)
+        if problem is not None:
+            problems.append(f"{rel_path}:{lineno}: {problem}")
     return problems
 
 
 def lint_tree(root: str) -> "tuple[List[str], int]":
-    """Lint ``root``'s engine package; ``(offences, files checked)``."""
+    """Lint ``root``'s engine package and domain packages; ``(offences,
+    files checked)``."""
     engine_dir = os.path.join(root, ENGINE_DIR)
     if not os.path.isdir(engine_dir):
         return [f"missing engine package: {ENGINE_DIR}"], 0
@@ -101,6 +129,19 @@ def lint_tree(root: str) -> "tuple[List[str], int]":
         path = os.path.join(engine_dir, name)
         problems.extend(lint_file(path, os.path.relpath(path, root)))
         checked += 1
+    src = os.path.join(root, "src")
+    for domain in DOMAIN_PACKAGES:
+        for dirpath, dirnames, filenames in os.walk(
+                os.path.join(src, "repro", domain)):
+            dirnames.sort()
+            package = os.path.relpath(dirpath, src).replace(os.sep, ".")
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                problems.extend(lint_file(path, os.path.relpath(path, root),
+                                          package, _domain_offence))
+                checked += 1
     return problems, checked
 
 
